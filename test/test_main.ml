@@ -28,4 +28,5 @@ let () =
       ("engine-scale", Test_engine_scale.suite);
       ("persist", Test_persist.suite);
       ("topology", Test_topology.suite);
+      ("boundary", Test_boundary.suite);
     ]
