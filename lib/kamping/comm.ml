@@ -27,24 +27,7 @@ let recorder t = (Mpisim.Comm.world t.c).Mpisim.World.trace
 let tracing t = Trace.Recorder.active (recorder t)
 
 let with_region t name f =
-  let tr = recorder t in
-  if not (Trace.Recorder.active tr) then f ()
-  else begin
-    let t0 = now t in
-    Fun.protect
-      ~finally:(fun () ->
-        Trace.Recorder.add_span tr
-          {
-            Trace.Event.sp_rank = Mpisim.Comm.world_rank_of t.c (rank t);
-            sp_op = name;
-            sp_cat = "user";
-            sp_comm = Mpisim.Comm.id t.c;
-            sp_seq = -1;
-            sp_t0 = t0;
-            sp_t1 = now t;
-          })
-      f
-  end
+  Mpisim.Comm.call ~counted:false ~ctx:User t.c ~cat:User ~op:name f
 
 (* ---------------- helpers ---------------- *)
 

@@ -26,7 +26,7 @@ let create comm ~dims ~periodic =
       (Comm.size comm);
   if Array.length periodic <> Array.length dims then
     Errors.usage "Cart.create: periodic must have one entry per dimension";
-  Profiling.record_call (Comm.world comm).World.prof "MPI_Cart_create";
+  Comm.count ~ctx:User comm ~op:"MPI_Cart_create";
   Collectives.barrier comm;
   { comm; dims = Array.copy dims; periodic = Array.copy periodic }
 
@@ -81,7 +81,7 @@ let shift t ~dim ~disp =
   (neighbor t ~dim ~disp:(-disp), neighbor t ~dim ~disp)
 
 let halo_exchange t dt ~dim ~send_low ~send_high ~recv_low ~recv_high =
-  Profiling.record_call (Comm.world t.comm).World.prof "MPI_Halo_exchange";
+  Comm.count ~ctx:User t.comm ~op:"MPI_Halo_exchange";
   let low = neighbor t ~dim ~disp:(-1) and high = neighbor t ~dim ~disp:1 in
   let tag_up = Comm.next_collective_tag t.comm in
   let tag_down = Comm.next_collective_tag t.comm in

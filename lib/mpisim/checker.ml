@@ -204,9 +204,7 @@ let record_collective st ~rank ~comm ~op ~root ~count ~datatype =
 (* Match-time errors.                                                  *)
 (* ------------------------------------------------------------------ *)
 
-let record_match_error st ~rank ~comm ~op ~src ~tag e =
-  ignore src;
-  ignore tag;
+let record_match_error st ~rank ~comm ~op e =
   if enabled Light then
     match e with
     | Errors.Truncated { sent; capacity } ->
@@ -246,15 +244,15 @@ let release_window tok = tok.freed <- true
 (* Deadlock diagnosis.                                                 *)
 (* ------------------------------------------------------------------ *)
 
-let describe_pending (pr : Msg.pending_recv) =
-  let what = match pr.want_ctx with Msg.User -> "recv" | Msg.Internal -> "collective/internal recv" in
-  let src = if pr.want_src = -1 then "any" else string_of_int pr.want_src in
-  let tag = if pr.want_tag = -1 then "any" else string_of_int pr.want_tag in
-  Printf.sprintf "%s(src=%s, tag=%s, comm=%d)" what src tag pr.want_comm
+let describe_pending (p : Msg.pattern) =
+  let what = match p.ctx with Msg.User -> "recv" | Msg.Internal -> "collective/internal recv" in
+  let src = if p.src = -1 then "any" else string_of_int p.src in
+  let tag = if p.tag = -1 then "any" else string_of_int p.tag in
+  Printf.sprintf "%s(src=%s, tag=%s, comm=%d)" what src tag p.comm
 
-let describe_probe (pw : Msg.probe_waiter) =
-  let src = if pw.p_src = -1 then "any" else string_of_int pw.p_src in
-  Printf.sprintf "probe(src=%s, comm=%d)" src pw.p_comm
+let describe_probe (p : Msg.pattern) =
+  let src = if p.src = -1 then "any" else string_of_int p.src in
+  Printf.sprintf "probe(src=%s, comm=%d)" src p.comm
 
 (* One wait-for edge per rank a blocked receive could be satisfied by; a
    wildcard receive contributes an edge to every live group member. *)
@@ -292,24 +290,16 @@ let find_cycle edges =
 
 let diagnose_deadlock st ~mailboxes ~parked ~rank_alive =
   let blocked = ref [] and edges = ref [] in
+  let add describe (p : Msg.pattern) =
+    blocked := (p.owner, describe p) :: !blocked;
+    List.iter
+      (fun t -> edges := (p.owner, t) :: !edges)
+      (wait_targets ~rank_alive ~owner:p.owner ~src_world:p.src_world ~group:p.group)
+  in
   Array.iter
     (fun mb ->
-      List.iter
-        (fun (pr : Msg.pending_recv) ->
-          blocked := (pr.Msg.owner_world, describe_pending pr) :: !blocked;
-          List.iter
-            (fun t -> edges := (pr.Msg.owner_world, t) :: !edges)
-            (wait_targets ~rank_alive ~owner:pr.Msg.owner_world ~src_world:pr.Msg.src_world
-               ~group:pr.Msg.comm_group))
-        (Msg.live_posted mb);
-      List.iter
-        (fun (pw : Msg.probe_waiter) ->
-          blocked := (pw.Msg.p_owner_world, describe_probe pw) :: !blocked;
-          List.iter
-            (fun t -> edges := (pw.Msg.p_owner_world, t) :: !edges)
-            (wait_targets ~rank_alive ~owner:pw.Msg.p_owner_world ~src_world:pw.Msg.p_src_world
-               ~group:pw.Msg.p_group))
-        (Msg.live_probes mb))
+      List.iter (add describe_pending) (Msg.live_posted mb);
+      List.iter (add describe_probe) (Msg.live_probes mb))
     mailboxes;
   (* parked ranks with no posted receive are blocked in a request wait or
      an agreement; report them too so no stuck rank goes unmentioned *)
@@ -326,10 +316,10 @@ let diagnose_deadlock st ~mailboxes ~parked ~rank_alive =
     let from_posted =
       Array.to_list mailboxes
       |> List.concat_map (fun mb -> Msg.live_posted mb)
-      |> List.find_opt (fun (pr : Msg.pending_recv) -> pr.Msg.owner_world = rank)
+      |> List.find_opt (fun (p : Msg.pattern) -> p.owner = rank)
     in
     match from_posted with
-    | Some pr -> (pr.Msg.want_comm, describe_pending pr)
+    | Some p -> (p.comm, describe_pending p)
     | None -> (-1, "quiesce")
   in
   let d = { rank; comm; op; location = "quiesce"; detail = Deadlock_cycle { cycle; blocked } } in

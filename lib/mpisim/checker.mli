@@ -111,11 +111,10 @@ val diagnostics : state -> diagnostic list
 val record_collective :
   state -> rank:int -> comm:int -> op:string -> root:int -> count:int -> datatype:string -> unit
 
-(** [record_match_error st ~rank ~comm ~op ~src ~tag e] records a
-    truncation or datatype mismatch detected while matching a message.
-    Active at {!Light}. *)
-val record_match_error :
-  state -> rank:int -> comm:int -> op:string -> src:int -> tag:int -> exn -> unit
+(** [record_match_error st ~rank ~comm ~op e] records a truncation or
+    datatype mismatch detected while landing a matched message.  Active at
+    {!Light}. *)
+val record_match_error : state -> rank:int -> comm:int -> op:string -> exn -> unit
 
 (** [track_request st ~rank ~comm ~op ~at req] registers a user-visible
     request for the finalize leak check; [at] is the simulated creation

@@ -2,41 +2,10 @@ module Engine = Simnet.Engine
 module Algo = Coll_algos.Algo
 module Select = Coll_algos.Select
 
-let record comm name = Profiling.record_call (Comm.world comm).World.prof name
-
 (* Annotated algorithm choice, e.g. "MPI_Allreduce[rabenseifner]"; kept in
    a separate profiling category so plain call counts stay exact. *)
 let record_algo comm name algo =
   Profiling.record_algo (Comm.world comm).World.prof (Printf.sprintf "%s[%s]" name algo)
-
-(* Record a collective call span around [f] on traced runs.  Each span
-   draws a per-(rank, communicator) sequence number; since every rank must
-   issue the same sequence of collectives on a communicator, the k-th
-   collective lines up across ranks — the analysis pass groups spans by
-   (comm, seq) to measure arrival imbalance. *)
-let traced comm ~op f =
-  let w = Comm.world comm in
-  let tr = w.World.trace in
-  if not (Trace.Recorder.active tr) then f ()
-  else begin
-    let rank = Comm.world_rank_of comm (Comm.rank comm) in
-    let cid = Comm.id comm in
-    let seq = Trace.Recorder.next_coll_seq tr ~rank ~comm:cid in
-    let t0 = World.now w in
-    Fun.protect
-      ~finally:(fun () ->
-        Trace.Recorder.add_span tr
-          {
-            Trace.Event.sp_rank = rank;
-            sp_op = op;
-            sp_cat = "coll";
-            sp_comm = cid;
-            sp_seq = seq;
-            sp_t0 = t0;
-            sp_t1 = World.now w;
-          })
-      f
-  end
 
 let check_root comm root =
   if root < 0 || root >= Comm.size comm then
@@ -45,21 +14,18 @@ let check_root comm root =
 let check_count what count =
   if count < 0 then Errors.usage "%s: negative count %d" what count
 
-(* Communication-level ordering check: log this rank's next collective on
-   the communicator and verify it against the sequence the other ranks
-   issued.  [root]/[count]/[datatype] default to "not checked" (v-variants
-   legitimately differ per rank in their counts). *)
-let check_coll ?(root = -1) ?(count = -1) ?datatype comm ~op dt_opt =
-  if Checker.enabled Communication then begin
-    let datatype =
-      match datatype with
-      | Some n -> n
-      | None -> ( match dt_opt with Some dt -> Datatype.name dt | None -> "")
-    in
+(* The entry of every collective: the communication-level ordering check
+   (log this rank's next collective on the communicator and verify it
+   against the sequence the other ranks issued), then the call boundary.
+   [root]/[count]/[dt] default to "not checked" (v-variants legitimately
+   differ per rank in their counts). *)
+let coll ?(root = -1) ?(count = -1) ?dt comm ~op f =
+  if Checker.enabled Communication then
     Checker.record_collective (Comm.world comm).World.check
       ~rank:(Comm.world_rank_of comm (Comm.rank comm))
-      ~comm:(Comm.id comm) ~op ~root ~count ~datatype
-  end
+      ~comm:(Comm.id comm) ~op ~root ~count
+      ~datatype:(match dt with Some dt -> Datatype.name dt | None -> "");
+  Comm.call ~ctx:User comm ~cat:Coll ~op f
 
 (* ------------------------------------------------------------------ *)
 (* Algorithm selection.                                                *)
@@ -174,19 +140,15 @@ let run_alltoall comm dt ~sendbuf ~recvbuf ~count algo ~tags:(t1, t2, t3, t4) =
 
 let barrier comm =
   Comm.check_active comm;
-  record comm "MPI_Barrier";
-  check_coll comm ~op:"MPI_Barrier" None;
-  traced comm ~op:"MPI_Barrier" @@ fun () ->
+  coll comm ~op:"MPI_Barrier" @@ fun () ->
   Coll_impl.dissemination comm ~tag:(Comm.next_collective_tag comm)
 
 let bcast ?(pos = 0) ?count comm dt buf ~root =
   Comm.check_active comm;
-  record comm "MPI_Bcast";
   check_root comm root;
   let count = match count with Some c -> c | None -> Array.length buf - pos in
   check_count "bcast" count;
-  check_coll comm ~op:"MPI_Bcast" ~root ~count (Some dt);
-  traced comm ~op:"MPI_Bcast" @@ fun () ->
+  coll ~root ~count ~dt comm ~op:"MPI_Bcast" @@ fun () ->
   let tags = draw2 comm in
   let algo = select_bcast comm dt count in
   record_algo comm "MPI_Bcast" (Algo.bcast_name algo);
@@ -194,11 +156,9 @@ let bcast ?(pos = 0) ?count comm dt buf ~root =
 
 let reduce ?(pos = 0) ?recvbuf comm dt op ~sendbuf ~count ~root =
   Comm.check_active comm;
-  record comm "MPI_Reduce";
   check_root comm root;
   check_count "reduce" count;
-  check_coll comm ~op:"MPI_Reduce" ~root ~count (Some dt);
-  traced comm ~op:"MPI_Reduce" @@ fun () ->
+  coll ~root ~count ~dt comm ~op:"MPI_Reduce" @@ fun () ->
   let tag = Comm.next_collective_tag comm in
   let acc = Coll_impl.reduce_binomial comm dt op ~sendbuf ~pos ~count ~root ~tag in
   if Comm.rank comm = root then begin
@@ -209,10 +169,8 @@ let reduce ?(pos = 0) ?recvbuf comm dt op ~sendbuf ~count ~root =
 
 let allreduce ?(pos = 0) comm dt op ~sendbuf ~recvbuf ~count =
   Comm.check_active comm;
-  record comm "MPI_Allreduce";
   check_count "allreduce" count;
-  check_coll comm ~op:"MPI_Allreduce" ~count (Some dt);
-  traced comm ~op:"MPI_Allreduce" @@ fun () ->
+  coll ~count ~dt comm ~op:"MPI_Allreduce" @@ fun () ->
   let tags = draw4 comm in
   let algo = select_allreduce comm dt op count in
   record_algo comm "MPI_Allreduce" (Algo.allreduce_name algo);
@@ -220,10 +178,8 @@ let allreduce ?(pos = 0) comm dt op ~sendbuf ~recvbuf ~count =
 
 let allgather ?(inplace = false) ?(spos = 0) ?(rpos = 0) comm dt ~sendbuf ~recvbuf ~count =
   Comm.check_active comm;
-  record comm "MPI_Allgather";
   check_count "allgather" count;
-  check_coll comm ~op:"MPI_Allgather" ~count (Some dt);
-  traced comm ~op:"MPI_Allgather" @@ fun () ->
+  coll ~count ~dt comm ~op:"MPI_Allgather" @@ fun () ->
   let tag = Comm.next_collective_tag comm in
   let algo = select_allgather comm dt count in
   record_algo comm "MPI_Allgather" (Algo.allgather_name algo);
@@ -237,15 +193,13 @@ let allgather ?(inplace = false) ?(spos = 0) ?(rpos = 0) comm dt ~sendbuf ~recvb
    model preserves per-link FIFO order (injection rate >= wire rate). *)
 let allgatherv ?(inplace = false) ?(spos = 0) comm dt ~sendbuf ~scount ~recvbuf ~rcounts ~rdispls =
   Comm.check_active comm;
-  record comm "MPI_Allgatherv";
   check_count "allgatherv" scount;
   let p = Comm.size comm and r = Comm.rank comm in
   if Array.length rcounts <> p || Array.length rdispls <> p then
     Errors.usage "allgatherv: rcounts/rdispls must have one entry per rank";
   if scount <> rcounts.(r) then
     Errors.usage "allgatherv: send count %d disagrees with rcounts.(%d) = %d" scount r rcounts.(r);
-  check_coll comm ~op:"MPI_Allgatherv" (Some dt);
-  traced comm ~op:"MPI_Allgatherv" @@ fun () ->
+  coll ~dt comm ~op:"MPI_Allgatherv" @@ fun () ->
   let tag = Comm.next_collective_tag comm in
   if not inplace then Array.blit sendbuf spos recvbuf rdispls.(r) scount;
   if p > 1 then begin
@@ -266,11 +220,9 @@ let allgatherv ?(inplace = false) ?(spos = 0) comm dt ~sendbuf ~scount ~recvbuf 
 
 let gather ?(spos = 0) ?(rpos = 0) ?recvbuf comm dt ~sendbuf ~count ~root =
   Comm.check_active comm;
-  record comm "MPI_Gather";
   check_root comm root;
   check_count "gather" count;
-  check_coll comm ~op:"MPI_Gather" ~root ~count (Some dt);
-  traced comm ~op:"MPI_Gather" @@ fun () ->
+  coll ~root ~count ~dt comm ~op:"MPI_Gather" @@ fun () ->
   let p = Comm.size comm and r = Comm.rank comm in
   let tag = Comm.next_collective_tag comm in
   if r = root then begin
@@ -289,11 +241,9 @@ let gather ?(spos = 0) ?(rpos = 0) ?recvbuf comm dt ~sendbuf ~count ~root =
 
 let gatherv ?(spos = 0) ?recvbuf ?rcounts ?rdispls comm dt ~sendbuf ~scount ~root =
   Comm.check_active comm;
-  record comm "MPI_Gatherv";
   check_root comm root;
   check_count "gatherv" scount;
-  check_coll comm ~op:"MPI_Gatherv" ~root (Some dt);
-  traced comm ~op:"MPI_Gatherv" @@ fun () ->
+  coll ~root ~dt comm ~op:"MPI_Gatherv" @@ fun () ->
   let p = Comm.size comm and r = Comm.rank comm in
   let tag = Comm.next_collective_tag comm in
   if r = root then begin
@@ -313,11 +263,9 @@ let gatherv ?(spos = 0) ?recvbuf ?rcounts ?rdispls comm dt ~sendbuf ~scount ~roo
 
 let scatter ?(spos = 0) ?(rpos = 0) ?sendbuf comm dt ~recvbuf ~count ~root =
   Comm.check_active comm;
-  record comm "MPI_Scatter";
   check_root comm root;
   check_count "scatter" count;
-  check_coll comm ~op:"MPI_Scatter" ~root ~count (Some dt);
-  traced comm ~op:"MPI_Scatter" @@ fun () ->
+  coll ~root ~count ~dt comm ~op:"MPI_Scatter" @@ fun () ->
   let p = Comm.size comm and r = Comm.rank comm in
   let tag = Comm.next_collective_tag comm in
   if r = root then begin
@@ -336,11 +284,9 @@ let scatter ?(spos = 0) ?(rpos = 0) ?sendbuf comm dt ~recvbuf ~count ~root =
 
 let scatterv ?(rpos = 0) ?sendbuf ?scounts ?sdispls comm dt ~recvbuf ~rcount ~root =
   Comm.check_active comm;
-  record comm "MPI_Scatterv";
   check_root comm root;
   check_count "scatterv" rcount;
-  check_coll comm ~op:"MPI_Scatterv" ~root (Some dt);
-  traced comm ~op:"MPI_Scatterv" @@ fun () ->
+  coll ~root ~dt comm ~op:"MPI_Scatterv" @@ fun () ->
   let p = Comm.size comm and r = Comm.rank comm in
   let tag = Comm.next_collective_tag comm in
   if r = root then begin
@@ -359,10 +305,8 @@ let scatterv ?(rpos = 0) ?sendbuf ?scounts ?sdispls comm dt ~recvbuf ~rcount ~ro
 
 let alltoall comm dt ~sendbuf ~recvbuf ~count =
   Comm.check_active comm;
-  record comm "MPI_Alltoall";
   check_count "alltoall" count;
-  check_coll comm ~op:"MPI_Alltoall" ~count (Some dt);
-  traced comm ~op:"MPI_Alltoall" @@ fun () ->
+  coll ~count ~dt comm ~op:"MPI_Alltoall" @@ fun () ->
   let tags = draw4 comm in
   let algo = select_alltoall comm dt count in
   record_algo comm "MPI_Alltoall" (Algo.alltoall_name algo);
@@ -377,10 +321,8 @@ let check_v_arrays what comm scounts sdispls rcounts rdispls =
 
 let alltoallv comm dt ~sendbuf ~scounts ~sdispls ~recvbuf ~rcounts ~rdispls =
   Comm.check_active comm;
-  record comm "MPI_Alltoallv";
   check_v_arrays "alltoallv" comm scounts sdispls rcounts rdispls;
-  check_coll comm ~op:"MPI_Alltoallv" (Some dt);
-  traced comm ~op:"MPI_Alltoallv" @@ fun () ->
+  coll ~dt comm ~op:"MPI_Alltoallv" @@ fun () ->
   let tag = Comm.next_collective_tag comm in
   Coll_impl.post_all_exchange comm dt ~tag
     ~scount_of:(fun d -> scounts.(d))
@@ -395,10 +337,8 @@ let alltoallv comm dt ~sendbuf ~scounts ~sdispls ~recvbuf ~rcounts ~rdispls =
    measurably slower and less scalable (Ghosh et al., paper Sec. II). *)
 let alltoallw_style comm dt ~sendbuf ~scounts ~sdispls ~recvbuf ~rcounts ~rdispls =
   Comm.check_active comm;
-  record comm "MPI_Alltoallw";
   check_v_arrays "alltoallw" comm scounts sdispls rcounts rdispls;
-  check_coll comm ~op:"MPI_Alltoallw" (Some dt);
-  traced comm ~op:"MPI_Alltoallw" @@ fun () ->
+  coll ~dt comm ~op:"MPI_Alltoallw" @@ fun () ->
   let p = Comm.size comm in
   let tag = Comm.next_collective_tag comm in
   let type_setup_cost = 0.3e-6 in
@@ -416,10 +356,8 @@ let alltoallw_style comm dt ~sendbuf ~scounts ~sdispls ~recvbuf ~rcounts ~rdispl
    shape — full reduction volume plus a scatter — is the same). *)
 let reduce_scatter_block comm dt op ~sendbuf ~recvbuf ~count =
   Comm.check_active comm;
-  record comm "MPI_Reduce_scatter_block";
   check_count "reduce_scatter_block" count;
-  check_coll comm ~op:"MPI_Reduce_scatter_block" ~count (Some dt);
-  traced comm ~op:"MPI_Reduce_scatter_block" @@ fun () ->
+  coll ~count ~dt comm ~op:"MPI_Reduce_scatter_block" @@ fun () ->
   let p = Comm.size comm and r = Comm.rank comm in
   let total = p * count in
   let tag = Comm.next_collective_tag comm in
@@ -436,10 +374,8 @@ let reduce_scatter_block comm dt op ~sendbuf ~recvbuf ~count =
 (* Recursive-doubling inclusive scan. *)
 let scan comm dt op ~sendbuf ~recvbuf ~count =
   Comm.check_active comm;
-  record comm "MPI_Scan";
   check_count "scan" count;
-  check_coll comm ~op:"MPI_Scan" ~count (Some dt);
-  traced comm ~op:"MPI_Scan" @@ fun () ->
+  coll ~count ~dt comm ~op:"MPI_Scan" @@ fun () ->
   let p = Comm.size comm and r = Comm.rank comm in
   let tag = Comm.next_collective_tag comm in
   Array.blit sendbuf 0 recvbuf 0 count;
@@ -468,10 +404,8 @@ let scan comm dt op ~sendbuf ~recvbuf ~count =
 
 let exscan comm dt op ~sendbuf ~recvbuf ~count =
   Comm.check_active comm;
-  record comm "MPI_Exscan";
   check_count "exscan" count;
-  check_coll comm ~op:"MPI_Exscan" ~count (Some dt);
-  traced comm ~op:"MPI_Exscan" @@ fun () ->
+  coll ~count ~dt comm ~op:"MPI_Exscan" @@ fun () ->
   let p = Comm.size comm and r = Comm.rank comm in
   let tag = Comm.next_collective_tag comm in
   if p > 1 && count > 0 then begin
@@ -522,20 +456,16 @@ let spawn_collective comm ~label body =
 
 let ibarrier comm =
   Comm.check_active comm;
-  record comm "MPI_Ibarrier";
-  check_coll comm ~op:"MPI_Ibarrier" None;
-  traced comm ~op:"MPI_Ibarrier" @@ fun () ->
+  coll comm ~op:"MPI_Ibarrier" @@ fun () ->
   let tag = Comm.next_collective_tag comm in
   spawn_collective comm ~label:"ibarrier" (fun () -> Coll_impl.dissemination comm ~tag)
 
 let ibcast ?(pos = 0) ?count comm dt buf ~root =
   Comm.check_active comm;
-  record comm "MPI_Ibcast";
   check_root comm root;
   let count = match count with Some c -> c | None -> Array.length buf - pos in
   check_count "ibcast" count;
-  check_coll comm ~op:"MPI_Ibcast" ~root ~count (Some dt);
-  traced comm ~op:"MPI_Ibcast" @@ fun () ->
+  coll ~root ~count ~dt comm ~op:"MPI_Ibcast" @@ fun () ->
   let tags = draw2 comm in
   let algo = select_bcast comm dt count in
   record_algo comm "MPI_Ibcast" (Algo.bcast_name algo);
@@ -549,48 +479,30 @@ let ibcast ?(pos = 0) ?count comm dt buf ~root =
    for persistent collectives). *)
 let bcast_init ?(pos = 0) ?count comm dt buf ~root =
   Comm.check_active comm;
-  record comm "MPI_Bcast_init";
   check_root comm root;
   let count = match count with Some c -> c | None -> Array.length buf - pos in
   check_count "bcast_init" count;
   if pos < 0 || pos + count > Array.length buf then
     Errors.usage "bcast_init: window [%d, %d) exceeds buffer of length %d" pos (pos + count)
       (Array.length buf);
-  check_coll comm ~op:"MPI_Bcast_init" ~root ~count (Some dt);
-  traced comm ~op:"MPI_Bcast_init" @@ fun () ->
+  coll ~root ~count ~dt comm ~op:"MPI_Bcast_init" @@ fun () ->
   let w = Comm.world comm in
   let tags = draw2 comm in
   let algo = select_bcast comm dt count in
   record_algo comm "MPI_Bcast_init" (Algo.bcast_name algo);
-  let start h =
-    Comm.check_active comm;
-    traced comm ~op:"MPI_Start" @@ fun () ->
-    let req = Persist.request h in
-    let _ : Engine.fiber =
-      Engine.spawn w.World.engine ~label:"bcast_init" (fun () ->
-          run_bcast comm dt buf pos count ~root algo ~tags;
-          Request.complete req { source = -1; tag = 0; count })
-    in
-    ()
-  in
-  let h =
-    Persist.make w.World.engine ~op:"MPI_Bcast_init"
-      ~around_wait:(fun _ f -> traced comm ~op:"MPI_Wait" f)
-      start
-  in
-  Checker.track_persistent w.World.check
-    ~rank:(Comm.world_rank_of comm (Comm.rank comm))
-    ~comm:(Comm.id comm) ~op:"MPI_Bcast_init" ~at:(World.now w)
-    ~freed:(fun () -> Persist.is_freed h)
-    ~starts:(fun () -> Persist.starts h);
-  h
+  Comm.persistent comm ~ctx:User ~cat:Coll ~op:"MPI_Bcast_init" (fun h ->
+      let req = Persist.request h in
+      let _ : Engine.fiber =
+        Engine.spawn w.World.engine ~label:"bcast_init" (fun () ->
+            run_bcast comm dt buf pos count ~root algo ~tags;
+            Request.complete req { source = -1; tag = 0; count })
+      in
+      ())
 
 let iallreduce comm dt op ~sendbuf ~recvbuf ~count =
   Comm.check_active comm;
-  record comm "MPI_Iallreduce";
   check_count "iallreduce" count;
-  check_coll comm ~op:"MPI_Iallreduce" ~count (Some dt);
-  traced comm ~op:"MPI_Iallreduce" @@ fun () ->
+  coll ~count ~dt comm ~op:"MPI_Iallreduce" @@ fun () ->
   let tags = draw4 comm in
   let algo = select_allreduce comm dt op count in
   record_algo comm "MPI_Iallreduce" (Algo.allreduce_name algo);
@@ -599,10 +511,8 @@ let iallreduce comm dt op ~sendbuf ~recvbuf ~count =
 
 let ialltoallv comm dt ~sendbuf ~scounts ~sdispls ~recvbuf ~rcounts ~rdispls =
   Comm.check_active comm;
-  record comm "MPI_Ialltoallv";
   check_v_arrays "ialltoallv" comm scounts sdispls rcounts rdispls;
-  check_coll comm ~op:"MPI_Ialltoallv" (Some dt);
-  traced comm ~op:"MPI_Ialltoallv" @@ fun () ->
+  coll ~dt comm ~op:"MPI_Ialltoallv" @@ fun () ->
   let tag = Comm.next_collective_tag comm in
   spawn_collective comm ~label:"ialltoallv" (fun () ->
       Coll_impl.post_all_exchange comm dt ~tag
@@ -646,9 +556,7 @@ let position a x =
 
 let dup comm =
   Comm.check_active comm;
-  record comm "MPI_Comm_dup";
-  check_coll comm ~op:"MPI_Comm_dup" None;
-  traced comm ~op:"MPI_Comm_dup" @@ fun () ->
+  coll comm ~op:"MPI_Comm_dup" @@ fun () ->
   let w = Comm.world comm in
   let tag = Comm.next_collective_tag comm in
   let members = Array.init (Comm.size comm) Fun.id in
@@ -659,9 +567,7 @@ let dup comm =
 
 let split comm ~color ~key =
   Comm.check_active comm;
-  record comm "MPI_Comm_split";
-  check_coll comm ~op:"MPI_Comm_split" None;
-  traced comm ~op:"MPI_Comm_split" @@ fun () ->
+  coll comm ~op:"MPI_Comm_split" @@ fun () ->
   let w = Comm.world comm in
   let p = Comm.size comm and r = Comm.rank comm in
   let dt = Datatype.triple Datatype.int Datatype.int Datatype.int in

@@ -67,3 +67,42 @@ val now : t -> float
 (** [compute comm seconds] charges [seconds] of local computation to the
     calling fiber (advances its simulated clock). *)
 val compute : t -> float -> unit
+
+(** {1 The call boundary}
+
+    The one place where the observers attach to a call: the PMPI profile
+    counts it, the trace recorder spans it, and persistent handles are
+    registered with the checker.  Library-internal traffic
+    ([ctx = Internal]) passes through unobserved. *)
+
+(** Span category: ["p2p"], ["coll"], ["rma"] or ["user"] (regions). *)
+type cat = P2p | Coll | Rma | User
+
+(** [count ~ctx comm ~op] counts the user-level call [op] in the PMPI
+    profile without a span — for polling calls ([MPI_Iprobe]), whose
+    spans would flood the trace. *)
+val count : ctx:Msg.ctx -> t -> op:string -> unit
+
+(** [call ?counted ~ctx comm ~cat ~op f] runs [f] as the user-level call
+    [op]: counted in the PMPI profile unless [counted] is false, and
+    recorded as a span of category [cat] on a traced run.  [Coll] spans
+    carry the rank's collective sequence number on [comm], every other
+    category [-1]. *)
+val call : ?counted:bool -> ctx:Msg.ctx -> t -> cat:cat -> op:string -> (unit -> 'a) -> 'a
+
+(** [persistent comm ~ctx ~cat ~op ?partitions ?pready ?parrived ?cancel
+    start] builds the persistent handle [op] (see {!Persist.make}): each
+    [start] checks that [comm] is active and runs as an uncounted
+    ["MPI_Start"] call, each wait as an uncounted ["MPI_Wait"] call, and
+    a user-level handle is tracked by the checker's leak scan. *)
+val persistent :
+  t ->
+  ctx:Msg.ctx ->
+  cat:cat ->
+  op:string ->
+  ?partitions:int ->
+  ?pready:(Persist.t -> int -> unit) ->
+  ?parrived:(Persist.t -> int -> bool) ->
+  ?cancel:(Persist.t -> unit) ->
+  (Persist.t -> unit) ->
+  Persist.t

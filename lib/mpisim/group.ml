@@ -57,7 +57,7 @@ let dt_comm : World.comm_shared Datatype.t = Datatype.custom ~name:"MPI_Comm_gro
 
 let comm_create_group comm g ~tag =
   Comm.check_active comm;
-  Profiling.record_call (Comm.world comm).World.prof "MPI_Comm_create_group";
+  Comm.count ~ctx:User comm ~op:"MPI_Comm_create_group";
   if tag < 0 then Errors.usage "comm_create_group: tag must be non-negative";
   let my_world = Comm.world_rank_of comm (Comm.rank comm) in
   let my_pos =

@@ -26,36 +26,26 @@ type envelope = {
   mutable pooled : bool;
 }
 
-type pending_recv = {
-  want_src : int;
-  want_tag : int;
-  want_comm : int;
-  want_ctx : ctx;
+(* A receive pattern parked in a mailbox: a posted receive or a blocking
+   probe.  Both carry the same fields; a probe's [deliver] observes the
+   message without consuming it. *)
+type pattern = {
+  src : int;
+  tag : int;
+  comm : int;
+  ctx : ctx;
   src_world : int;
-  comm_group : int array;
+  group : int array;
+  owner : int;
   deliver : envelope -> unit;
   on_fail : exn -> unit;
-  owner_world : int;
   mutable live : bool;
-}
-
-type probe_waiter = {
-  p_src : int;
-  p_tag : int;
-  p_comm : int;
-  p_ctx : ctx;
-  p_src_world : int;
-  p_group : int array;
-  notify : envelope -> unit;
-  p_on_fail : exn -> unit;
-  p_owner_world : int;
-  mutable p_live : bool;
 }
 
 type mailbox = {
   unexpected : envelope Ds.Vec.t;
-  mutable posted : pending_recv list;
-  mutable probes : probe_waiter list;
+  mutable posted : pattern list;
+  mutable probes : pattern list;
 }
 
 let create () = { unexpected = Ds.Vec.create (); posted = []; probes = [] }
@@ -106,36 +96,28 @@ let release pool env =
 
 let pool_stats pool = (pool.made, pool.reused)
 
-let matches pr env =
-  pr.want_comm = env.comm_id
-  && pr.want_ctx = env.ctx
-  && (pr.want_src = any_source || pr.want_src = env.src)
-  && (pr.want_tag = any_tag || pr.want_tag = env.tag)
-
-let pattern_matches ~src ~tag ~comm ~ctx env =
+(* The one match predicate: posted receives, parked probes and the
+   unexpected-queue search all test an envelope against these fields. *)
+let matches ~src ~tag ~comm ~ctx (env : envelope) =
   comm = env.comm_id
   && ctx = env.ctx
   && (src = any_source || src = env.src)
   && (tag = any_tag || tag = env.tag)
 
-let probe_matches pw env =
-  pw.p_comm = env.comm_id
-  && pw.p_ctx = env.ctx
-  && (pw.p_src = any_source || pw.p_src = env.src)
-  && (pw.p_tag = any_tag || pw.p_tag = env.tag)
+let accepts (p : pattern) env = p.live && matches ~src:p.src ~tag:p.tag ~comm:p.comm ~ctx:p.ctx env
 
 let arrive pool mb env =
   (* Probe waiters observe the message without consuming it. *)
-  let notified, waiting = List.partition (fun pw -> pw.p_live && probe_matches pw env) mb.probes in
+  let notified, waiting = List.partition (fun p -> accepts p env) mb.probes in
   mb.probes <- waiting;
   List.iter
-    (fun pw ->
-      pw.p_live <- false;
-      pw.notify env)
+    (fun p ->
+      p.live <- false;
+      p.deliver env)
     notified;
   let rec find_posted acc = function
     | [] -> None
-    | pr :: rest when pr.live && matches pr env ->
+    | pr :: rest when accepts pr env ->
         mb.posted <- List.rev_append acc rest;
         Some pr
     | pr :: rest -> find_posted (pr :: acc) rest
@@ -156,7 +138,7 @@ let find_unexpected mb ~src ~tag ~comm ~ctx =
   let n = Ds.Vec.length mb.unexpected in
   let rec go i =
     if i >= n then None
-    else if pattern_matches ~src ~tag ~comm ~ctx (Ds.Vec.get mb.unexpected i) then Some i
+    else if matches ~src ~tag ~comm ~ctx (Ds.Vec.get mb.unexpected i) then Some i
     else go (i + 1)
   in
   go 0
@@ -183,7 +165,7 @@ let candidate_sources mb ~tag ~comm ~ctx =
   for i = 0 to n - 1 do
     let env = Ds.Vec.get mb.unexpected i in
     if
-      pattern_matches ~src:any_source ~tag ~comm ~ctx env
+      matches ~src:any_source ~tag ~comm ~ctx env
       && not (Hashtbl.mem seen env.src_world)
     then begin
       Hashtbl.add seen env.src_world ();
@@ -221,53 +203,24 @@ let peek_unexpected mb ~src ~tag ~comm ~ctx =
 let post mb pr = mb.posted <- mb.posted @ [ pr ]
 let post_probe mb pw = mb.probes <- mb.probes @ [ pw ]
 
+(* Remove the patterns satisfying [pred] from both queues and deactivate
+   them; returns them, posted receives first. *)
+let retire mb pred =
+  let posted, keep_posted = List.partition pred mb.posted in
+  let probes, keep_probes = List.partition pred mb.probes in
+  mb.posted <- keep_posted;
+  mb.probes <- keep_probes;
+  let gone = posted @ probes in
+  List.iter (fun p -> p.live <- false) gone;
+  gone
+
 let fail_matching mb ~pred ~exn =
-  let failing, keep = List.partition (fun pr -> pr.live && pred pr) mb.posted in
-  mb.posted <- keep;
-  List.iter
-    (fun pr ->
-      pr.live <- false;
-      pr.on_fail exn)
-    failing;
-  let probe_pred pw =
-    pred
-      {
-        want_src = pw.p_src;
-        want_tag = pw.p_tag;
-        want_comm = pw.p_comm;
-        want_ctx = pw.p_ctx;
-        src_world = pw.p_src_world;
-        comm_group = pw.p_group;
-        deliver = ignore;
-        on_fail = ignore;
-        owner_world = -1;
-        live = true;
-      }
-  in
-  let failing_probes, waiting = List.partition (fun pw -> pw.p_live && probe_pred pw) mb.probes in
-  mb.probes <- waiting;
-  List.iter
-    (fun pw ->
-      pw.p_live <- false;
-      pw.p_on_fail exn)
-    failing_probes
+  List.iter (fun p -> p.on_fail exn) (retire mb (fun p -> p.live && pred p))
 
-let drop_owned mb ~world_rank =
-  mb.posted <-
-    List.filter
-      (fun pr ->
-        if pr.owner_world = world_rank then begin
-          pr.live <- false;
-          false
-        end
-        else true)
-      mb.posted
-
-let pending_count mb = List.length (List.filter (fun pr -> pr.live) mb.posted)
-let unexpected_count mb = Ds.Vec.length mb.unexpected
+let drop_owned mb ~world_rank = ignore (retire mb (fun p -> p.owner = world_rank))
 
 (* Checker views: the correctness layer inspects mailbox contents at
    quiesce and finalize without consuming anything. *)
 let live_posted mb = List.filter (fun pr -> pr.live) mb.posted
-let live_probes mb = List.filter (fun pw -> pw.p_live) mb.probes
+let live_probes mb = List.filter (fun p -> p.live) mb.probes
 let iter_unexpected mb f = Ds.Vec.iter f mb.unexpected

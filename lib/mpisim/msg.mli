@@ -47,42 +47,27 @@ type envelope = {
   mutable pooled : bool;  (** true while the envelope sits in a free list *)
 }
 
-(** A posted (pending) receive. *)
-type pending_recv = {
-  want_src : int;  (** comm rank or {!any_source} *)
-  want_tag : int;  (** tag or {!any_tag} *)
-  want_comm : int;
-  want_ctx : ctx;
-  src_world : int;  (** world rank of [want_src], [-1] for wildcard *)
-  comm_group : int array;  (** comm rank -> world rank, for failure checks *)
+(** A receive pattern parked in a mailbox: a posted receive or a blocking
+    probe.  A posted receive's [deliver] consumes the matched envelope; a
+    probe's observes it without consuming.  Failure injection,
+    revocation and a dead owner retire both kinds alike. *)
+type pattern = {
+  src : int;  (** comm rank or {!any_source} *)
+  tag : int;  (** tag or {!any_tag} *)
+  comm : int;  (** communicator id *)
+  ctx : ctx;
+  src_world : int;  (** world rank of [src], [-1] for wildcard *)
+  group : int array;  (** comm rank -> world rank, for failure checks *)
+  owner : int;  (** world rank of the receiving (probing) rank *)
   deliver : envelope -> unit;
   on_fail : exn -> unit;
-  owner_world : int;  (** the receiving rank *)
   mutable live : bool;
-}
-
-(** A parked blocking probe: notified (without consuming) when a matching
-    message arrives. *)
-type probe_waiter = {
-  p_src : int;
-  p_tag : int;
-  p_comm : int;
-  p_ctx : ctx;
-  p_src_world : int;
-  p_group : int array;
-  notify : envelope -> unit;
-  p_on_fail : exn -> unit;
-  p_owner_world : int;  (** the probing rank *)
-  mutable p_live : bool;
 }
 
 type mailbox
 
 (** [create ()] is an empty mailbox. *)
 val create : unit -> mailbox
-
-(** [matches pr env] is the matching predicate. *)
-val matches : pending_recv -> envelope -> bool
 
 (** {1 Envelope pool}
 
@@ -143,25 +128,20 @@ val take_unexpected :
     without removing (probe). *)
 val peek_unexpected : mailbox -> src:int -> tag:int -> comm:int -> ctx:ctx -> envelope option
 
-(** [post mb pr] appends a pending receive. *)
-val post : mailbox -> pending_recv -> unit
+(** [post mb p] appends a posted receive. *)
+val post : mailbox -> pattern -> unit
 
-(** [post_probe mb pw] parks a blocking probe. *)
-val post_probe : mailbox -> probe_waiter -> unit
+(** [post_probe mb p] parks a blocking probe. *)
+val post_probe : mailbox -> pattern -> unit
 
 (** [fail_matching mb ~pred ~exn] fails (and removes) every live posted
-    receive satisfying [pred] — used for failure injection and revocation. *)
-val fail_matching : mailbox -> pred:(pending_recv -> bool) -> exn:exn -> unit
+    receive and parked probe satisfying [pred] — used for failure
+    injection and revocation. *)
+val fail_matching : mailbox -> pred:(pattern -> bool) -> exn:exn -> unit
 
-(** [drop_owned mb ~world_rank] deactivates posted receives owned by a dead
-    rank. *)
+(** [drop_owned mb ~world_rank] removes and deactivates the posted
+    receives and parked probes of a dead rank. *)
 val drop_owned : mailbox -> world_rank:int -> unit
-
-(** [pending_count mb] is the number of live posted receives (diagnostics). *)
-val pending_count : mailbox -> int
-
-(** [unexpected_count mb] is the number of queued unexpected messages. *)
-val unexpected_count : mailbox -> int
 
 (** {1 Checker views}
 
@@ -169,10 +149,10 @@ val unexpected_count : mailbox -> int
     (deadlock diagnosis) and finalize (leak detection). *)
 
 (** [live_posted mb] is every live posted receive, in post order. *)
-val live_posted : mailbox -> pending_recv list
+val live_posted : mailbox -> pattern list
 
 (** [live_probes mb] is every parked blocking probe. *)
-val live_probes : mailbox -> probe_waiter list
+val live_probes : mailbox -> pattern list
 
 (** [iter_unexpected mb f] applies [f] to each queued unexpected envelope. *)
 val iter_unexpected : mailbox -> (envelope -> unit) -> unit

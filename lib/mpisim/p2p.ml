@@ -19,48 +19,12 @@ let window_bounds ~what buf pos count =
     Errors.usage "%s: window [%d, %d) exceeds buffer of length %d" what pos (pos + count) len;
   count
 
-let record w name = Profiling.record_call w.World.prof name
-
 let my_world comm = Comm.world_rank_of comm (Comm.rank comm)
 
 let track comm ~op req =
   let w = Comm.world comm in
   Checker.track_request w.World.check ~rank:(my_world comm) ~comm:(Comm.id comm) ~op
     ~at:(World.now w) req
-
-let record_mismatch comm ~op ~src ~tag e =
-  Checker.record_match_error (Comm.world comm).World.check ~rank:(my_world comm)
-    ~comm:(Comm.id comm) ~op ~src ~tag e
-
-(* Record a call span around [f] when this is a user-level call on a traced
-   run.  [Fun.protect] spans the fiber's suspensions, so the span covers the
-   full blocking time of the call; exceptional exits are closed too. *)
-let traced ~ctx comm ~op f =
-  let w = Comm.world comm in
-  if ctx <> Msg.User || not (Trace.Recorder.active w.World.trace) then f ()
-  else begin
-    let rank = my_world comm in
-    let t0 = World.now w in
-    Fun.protect
-      ~finally:(fun () ->
-        Trace.Recorder.add_span w.World.trace
-          {
-            Trace.Event.sp_rank = rank;
-            sp_op = op;
-            sp_cat = "p2p";
-            sp_comm = Comm.id comm;
-            sp_seq = -1;
-            sp_t0 = t0;
-            sp_t1 = World.now w;
-          })
-      f
-  end
-
-(* Stamp the receive-side timestamps on a matched message's trace record. *)
-let stamp_env_match (env : Msg.envelope) ~posted ~time =
-  match env.Msg.trace with
-  | Some m -> Trace.Event.stamp_match m ~posted ~time
-  | None -> ()
 
 (* Per-call software initiation cost (argument validation, matching setup).
    Only user-level ephemeral calls pay it; persistent operations charge it
@@ -132,18 +96,16 @@ let inject comm dt buf pos count ~dst ~tag ~ctx ~on_matched =
 
 let send ?(ctx = Msg.User) ?(pos = 0) ?count comm dt buf ~dst ~tag =
   let w = Comm.world comm in
-  if ctx = Msg.User then record w "MPI_Send";
-  traced ~ctx comm ~op:"MPI_Send" @@ fun () ->
+  Comm.call ~ctx comm ~cat:P2p ~op:"MPI_Send" @@ fun () ->
   let injected = inject comm dt buf pos count ~dst ~tag ~ctx ~on_matched:None in
   Engine.delay w.World.engine (injected -. World.now w)
 
 let isend ?(ctx = Msg.User) ?(pos = 0) ?count comm dt buf ~dst ~tag =
   let w = Comm.world comm in
-  if ctx = Msg.User then record w "MPI_Isend";
+  Comm.call ~ctx comm ~cat:P2p ~op:"MPI_Isend" @@ fun () ->
   let req = Request.create w.World.engine in
   if ctx = Msg.User then track comm ~op:"MPI_Isend" req;
   let count' = window_bounds ~what:"isend" buf pos count in
-  traced ~ctx comm ~op:"MPI_Isend" @@ fun () ->
   let injected = inject comm dt buf pos count ~dst ~tag ~ctx ~on_matched:None in
   Engine.schedule w.World.engine
     ~delay:(injected -. World.now w)
@@ -152,7 +114,7 @@ let isend ?(ctx = Msg.User) ?(pos = 0) ?count comm dt buf ~dst ~tag =
 
 let issend ?(ctx = Msg.User) ?(pos = 0) ?count comm dt buf ~dst ~tag =
   let w = Comm.world comm in
-  if ctx = Msg.User then record w "MPI_Issend";
+  Comm.call ~ctx comm ~cat:P2p ~op:"MPI_Issend" @@ fun () ->
   let req = Request.create w.World.engine in
   if ctx = Msg.User then track comm ~op:"MPI_Issend" req;
   let count' = window_bounds ~what:"issend" buf pos count in
@@ -164,52 +126,50 @@ let issend ?(ctx = Msg.User) ?(pos = 0) ?count comm dt buf ~dst ~tag =
         Engine.schedule w.World.engine ~delay:latency (fun () ->
             Request.complete req { source = dst; tag; count = count' }))
   in
-  traced ~ctx comm ~op:"MPI_Issend" @@ fun () ->
   ignore (inject comm dt buf pos count ~dst ~tag ~ctx ~on_matched);
   req
 
-(* Copy a matched envelope into the receive window, enforcing MPI's type
-   and size rules.  A sparse (non-materialized large-count) payload passes
-   the same type and capacity checks but has no elements to copy. *)
-let copy_payload (type a) (env : Msg.envelope) (rdt : a Datatype.t) (buf : a array) pos capacity :
-    (Request.status, exn) result =
-  match env.payload with
-  | Msg.Packed (sdt, data) -> (
-      match Datatype.equal_witness sdt rdt with
-      | None ->
-          Error (Errors.Type_mismatch { sent = Datatype.name sdt; expected = Datatype.name rdt })
-      | Some Type.Equal ->
-          let n = Array.length data in
-          if n > capacity then Error (Errors.Truncated { sent = n; capacity })
-          else begin
-            Array.blit data 0 buf pos n;
-            Ok { Request.source = env.src; tag = env.tag; count = n }
-          end)
-  | Msg.Sparse (sdt, n) -> (
-      match Datatype.equal_witness sdt rdt with
-      | None ->
-          Error (Errors.Type_mismatch { sent = Datatype.name sdt; expected = Datatype.name rdt })
-      | Some Type.Equal ->
-          if n > capacity then Error (Errors.Truncated { sent = n; capacity })
-          else Ok { Request.source = env.src; tag = env.tag; count = n })
+(* ------------------------------------------------------------------ *)
+(* The receive path.                                                   *)
+(*                                                                     *)
+(* Every receive — blocking, non-blocking, sparse, persistent and each *)
+(* partition of a partitioned one — goes through [receive]: take a     *)
+(* matching waiting message or post the receive, then land the payload *)
+(* with [land_env].  Callers keep only their completion logic.         *)
+(* ------------------------------------------------------------------ *)
 
-(* Type- and capacity-check a matched envelope without a receive buffer —
-   the large-count receive path, where [capacity] may exceed any
-   allocatable array. *)
-let verify_payload (type a) (env : Msg.envelope) (rdt : a Datatype.t) capacity :
-    (Request.status, exn) result =
-  let check : type b. b Datatype.t -> int -> (Request.status, exn) result =
-   fun sdt n ->
-    match Datatype.equal_witness sdt rdt with
-    | None ->
-        Error (Errors.Type_mismatch { sent = Datatype.name sdt; expected = Datatype.name rdt })
-    | Some Type.Equal ->
-        if n > capacity then Error (Errors.Truncated { sent = n; capacity })
-        else Ok { Request.source = env.src; tag = env.tag; count = n }
+(* The one type-and-capacity check: [n] elements of [sdt] land in a
+   receive of [rdt] with room for [capacity] elements.  [data] is copied
+   into [buf] at [pos] unless the receive has no window: a sparse receive
+   passes the empty array, and a sparse payload has no data. *)
+let accept (type a b) (env : Msg.envelope) (sdt : b Datatype.t) (data : b array) n
+    (rdt : a Datatype.t) (buf : a array) pos capacity : (Request.status, exn) result =
+  match Datatype.equal_witness sdt rdt with
+  | None -> Error (Errors.Type_mismatch { sent = Datatype.name sdt; expected = Datatype.name rdt })
+  | Some Type.Equal ->
+      if n > capacity then Error (Errors.Truncated { sent = n; capacity })
+      else begin
+        if Array.length buf > 0 then Array.blit data 0 buf pos (Array.length data);
+        Ok { Request.source = env.src; tag = env.tag; count = n }
+      end
+
+(* Land a matched envelope: stamp the receive-side trace times, run the
+   type-and-capacity check and report a failed one at Light level. *)
+let land_env comm ~op ~posted (env : Msg.envelope) dt buf ~pos ~capacity =
+  let w = Comm.world comm in
+  (match env.trace with
+  | Some m -> Trace.Event.stamp_match m ~posted ~time:(World.now w)
+  | None -> ());
+  let landed =
+    match env.payload with
+    | Msg.Packed (sdt, data) -> accept env sdt data (Array.length data) dt buf pos capacity
+    | Msg.Sparse (sdt, n) -> accept env sdt [||] n dt buf pos capacity
   in
-  match env.payload with
-  | Msg.Packed (sdt, data) -> check sdt (Array.length data)
-  | Msg.Sparse (sdt, n) -> check sdt n
+  (match landed with
+  | Error e ->
+      Checker.record_match_error w.World.check ~rank:(my_world comm) ~comm:(Comm.id comm) ~op e
+  | Ok _ -> ());
+  landed
 
 (* Detect whether a receive from [src] can never be satisfied because the
    peer (or, for wildcards, some group member) has failed. *)
@@ -221,165 +181,149 @@ let dead_peer comm ~src =
     if World.is_alive w sw then None else Some sw
   end
 
-let make_pending comm ~src ~tag ~ctx ~deliver ~on_fail : Msg.pending_recv =
+let peer_failed wr = Errors.Process_failed { world_rank = wr }
+
+(* A blocking call waiting on a dead peer fails once the failure is
+   detected. *)
+let raise_detected w wr =
+  Engine.delay w.World.engine w.World.detection_delay;
+  raise (peer_failed wr)
+
+let pattern comm ~src ~tag ~ctx ~deliver ~on_fail : Msg.pattern =
   {
-    Msg.want_src = src;
-    want_tag = tag;
-    want_comm = Comm.id comm;
-    want_ctx = ctx;
+    src;
+    tag;
+    comm = Comm.id comm;
+    ctx;
     src_world = (if src = any_source then -1 else Comm.world_rank_of comm src);
-    comm_group = Comm.group comm;
+    group = Comm.group comm;
+    owner = my_world comm;
     deliver;
     on_fail;
-    owner_world = Comm.world_rank_of comm (Comm.rank comm);
     live = true;
   }
+
+let mailbox comm = (Comm.world comm).World.mailboxes.(my_world comm)
+
+(* Post a receive whose landed result goes to [k]. *)
+let post comm ~ctx ~op ~src ~tag ~posted dt buf ~pos ~capacity k =
+  let p =
+    pattern comm ~src ~tag ~ctx
+      ~deliver:(fun env -> k (land_env comm ~op ~posted env dt buf ~pos ~capacity))
+      ~on_fail:(fun e -> k (Error e))
+  in
+  Msg.post (mailbox comm) p;
+  p
+
+(* How a receive completes.  [Block]: the calling fiber gets the status
+   (or the exception), suspending until the message lands.  [Notify k]:
+   [k] gets the landed result, at once or from the arrival event, and
+   the receive yields its posted pattern so a persistent handle can
+   retire it. *)
+type _ completion =
+  | Block : Request.status completion
+  | Notify : ((Request.status, exn) result -> unit) -> Msg.pattern option completion
+
+let receive : type a r.
+    Comm.t ->
+    ctx:Msg.ctx ->
+    op:string ->
+    src:int ->
+    tag:int ->
+    a Datatype.t ->
+    a array ->
+    pos:int ->
+    capacity:int ->
+    r completion ->
+    r =
+ fun comm ~ctx ~op ~src ~tag dt buf ~pos ~capacity completion ->
+  let w = Comm.world comm in
+  let posted = World.now w in
+  match
+    Msg.take_unexpected ?choose:(World.match_chooser w) (mailbox comm) ~src ~tag
+      ~comm:(Comm.id comm) ~ctx
+  with
+  | Some env -> (
+      (* a message was waiting: land it now, without suspending *)
+      let landed = land_env comm ~op ~posted env dt buf ~pos ~capacity in
+      Msg.release w.World.env_pool env;
+      match (completion, landed) with
+      | Block, Ok st -> st
+      | Block, Error e -> raise e
+      | Notify k, _ ->
+          k landed;
+          None)
+  | None -> (
+      match (completion, dead_peer comm ~src) with
+      | Block, Some wr -> raise_detected w wr
+      | Block, None ->
+          Engine.suspend w.World.engine (fun r ->
+              let k = Engine.settle r in
+              ignore (post comm ~ctx ~op ~src ~tag ~posted dt buf ~pos ~capacity k))
+      | Notify k, Some wr ->
+          Engine.schedule w.World.engine ~delay:w.World.detection_delay (fun () ->
+              k (Error (peer_failed wr)));
+          None
+      | Notify k, None -> Some (post comm ~ctx ~op ~src ~tag ~posted dt buf ~pos ~capacity k))
+
+(* Complete or abort a request with a landed result. *)
+let settle req = function Ok st -> Request.complete req st | Error e -> Request.abort req e
 
 let recv ?(ctx = Msg.User) ?(pos = 0) ?count comm dt buf ~src ~tag =
   Comm.check_active comm;
   check_recv_tag ~ctx tag;
   Datatype.mark_committed dt;
   let capacity = window_bounds ~what:"recv" buf pos count in
-  let w = Comm.world comm in
-  if ctx = Msg.User then record w "MPI_Recv";
-  traced ~ctx comm ~op:"MPI_Recv" @@ fun () ->
+  Comm.call ~ctx comm ~cat:P2p ~op:"MPI_Recv" @@ fun () ->
   charge_setup ~ctx comm;
-  let posted = World.now w in
-  let mb = w.World.mailboxes.(my_world comm) in
-  match
-    Msg.take_unexpected ?choose:(World.match_chooser w) mb ~src ~tag ~comm:(Comm.id comm) ~ctx
-  with
-  | Some env -> begin
-      stamp_env_match env ~posted ~time:(World.now w);
-      let copied = copy_payload env dt buf pos capacity in
-      Msg.release w.World.env_pool env;
-      match copied with
-      | Ok st -> st
-      | Error e ->
-          record_mismatch comm ~op:"MPI_Recv" ~src ~tag e;
-          raise e
-    end
-  | None -> begin
-      match dead_peer comm ~src with
-      | Some wr ->
-          Engine.delay w.World.engine w.World.detection_delay;
-          raise (Errors.Process_failed { world_rank = wr })
-      | None ->
-          Engine.suspend w.World.engine (fun resumer ->
-              let deliver env =
-                stamp_env_match env ~posted ~time:(World.now w);
-                match copy_payload env dt buf pos capacity with
-                | Ok st -> Engine.resume resumer st
-                | Error e ->
-                    record_mismatch comm ~op:"MPI_Recv" ~src ~tag e;
-                    Engine.fail resumer e
-              in
-              let on_fail e = Engine.fail resumer e in
-              Msg.post mb (make_pending comm ~src ~tag ~ctx ~deliver ~on_fail))
-    end
+  receive comm ~ctx ~op:"MPI_Recv" ~src ~tag dt buf ~pos ~capacity Block
 
 let irecv ?(ctx = Msg.User) ?(pos = 0) ?count comm dt buf ~src ~tag =
   Comm.check_active comm;
   check_recv_tag ~ctx tag;
   Datatype.mark_committed dt;
   let capacity = window_bounds ~what:"irecv" buf pos count in
-  let w = Comm.world comm in
-  if ctx = Msg.User then record w "MPI_Irecv";
-  let req = Request.create w.World.engine in
+  Comm.call ~ctx comm ~cat:P2p ~op:"MPI_Irecv" @@ fun () ->
+  let req = Request.create (Comm.world comm).World.engine in
   if ctx = Msg.User then track comm ~op:"MPI_Irecv" req;
-  let mb = w.World.mailboxes.(my_world comm) in
-  traced ~ctx comm ~op:"MPI_Irecv" @@ fun () ->
   charge_setup ~ctx comm;
-  let posted = World.now w in
-  (match
-     Msg.take_unexpected ?choose:(World.match_chooser w) mb ~src ~tag ~comm:(Comm.id comm) ~ctx
-   with
-  | Some env -> begin
-      stamp_env_match env ~posted ~time:(World.now w);
-      let copied = copy_payload env dt buf pos capacity in
-      Msg.release w.World.env_pool env;
-      match copied with
-      | Ok st -> Request.complete req st
-      | Error e ->
-          record_mismatch comm ~op:"MPI_Irecv" ~src ~tag e;
-          Request.abort req e
-    end
-  | None -> begin
-      match dead_peer comm ~src with
-      | Some wr ->
-          Engine.schedule w.World.engine ~delay:w.World.detection_delay (fun () ->
-              Request.abort req (Errors.Process_failed { world_rank = wr }))
-      | None ->
-          let deliver env =
-            stamp_env_match env ~posted ~time:(World.now w);
-            match copy_payload env dt buf pos capacity with
-            | Ok st -> Request.complete req st
-            | Error e ->
-                record_mismatch comm ~op:"MPI_Irecv" ~src ~tag e;
-                Request.abort req e
-          in
-          let on_fail e = Request.abort req e in
-          Msg.post mb (make_pending comm ~src ~tag ~ctx ~deliver ~on_fail)
-    end);
+  ignore (receive comm ~ctx ~op:"MPI_Irecv" ~src ~tag dt buf ~pos ~capacity (Notify (settle req)));
   req
+
+let status_of (env : Msg.envelope) = { Request.source = env.src; tag = env.tag; count = env.count }
 
 let probe ?(ctx = Msg.User) comm ~src ~tag =
   Comm.check_active comm;
+  Comm.call ~ctx comm ~cat:P2p ~op:"MPI_Probe" @@ fun () ->
   let w = Comm.world comm in
-  if ctx = Msg.User then record w "MPI_Probe";
-  traced ~ctx comm ~op:"MPI_Probe" @@ fun () ->
-  let mb = w.World.mailboxes.(Comm.world_rank_of comm (Comm.rank comm)) in
-  match Msg.peek_unexpected mb ~src ~tag ~comm:(Comm.id comm) ~ctx with
-  | Some env -> { Request.source = env.Msg.src; tag = env.Msg.tag; count = env.Msg.count }
+  match Msg.peek_unexpected (mailbox comm) ~src ~tag ~comm:(Comm.id comm) ~ctx with
+  | Some env -> status_of env
   | None -> begin
       match dead_peer comm ~src with
-      | Some wr ->
-          Engine.delay w.World.engine w.World.detection_delay;
-          raise (Errors.Process_failed { world_rank = wr })
+      | Some wr -> raise_detected w wr
       | None ->
-          Engine.suspend w.World.engine (fun resumer ->
-              let notify (env : Msg.envelope) =
-                Engine.resume resumer
-                  { Request.source = env.src; tag = env.tag; count = env.count }
-              in
-              Msg.post_probe mb
-                {
-                  Msg.p_src = src;
-                  p_tag = tag;
-                  p_comm = Comm.id comm;
-                  p_ctx = ctx;
-                  p_src_world = (if src = any_source then -1 else Comm.world_rank_of comm src);
-                  p_group = Comm.group comm;
-                  notify;
-                  p_on_fail = (fun e -> Engine.fail resumer e);
-                  p_owner_world = my_world comm;
-                  p_live = true;
-                })
+          Engine.suspend w.World.engine (fun r ->
+              Msg.post_probe (mailbox comm)
+                (pattern comm ~src ~tag ~ctx
+                   ~deliver:(fun env -> Engine.resume r (status_of env))
+                   ~on_fail:(fun e -> Engine.fail r e)))
     end
 
 let iprobe ?(ctx = Msg.User) comm ~src ~tag =
   Comm.check_active comm;
-  let w = Comm.world comm in
-  if ctx = Msg.User then record w "MPI_Iprobe";
-  let mb = w.World.mailboxes.(Comm.world_rank_of comm (Comm.rank comm)) in
-  Msg.peek_unexpected mb ~src ~tag ~comm:(Comm.id comm) ~ctx
-  |> Option.map (fun (env : Msg.envelope) ->
-         { Request.source = env.src; tag = env.tag; count = env.count })
+  Comm.count ~ctx comm ~op:"MPI_Iprobe";
+  Option.map status_of (Msg.peek_unexpected (mailbox comm) ~src ~tag ~comm:(Comm.id comm) ~ctx)
 
 let sendrecv ?(ctx = Msg.User) comm dt ~send:sbuf ?(send_pos = 0) ?send_count ~dst ~stag ~recv:rbuf
     ?(recv_pos = 0) ?recv_count ~src ~rtag () =
-  let w = Comm.world comm in
-  if ctx = Msg.User then record w "MPI_Sendrecv";
-  traced ~ctx comm ~op:"MPI_Sendrecv" @@ fun () ->
+  Comm.call ~ctx comm ~cat:P2p ~op:"MPI_Sendrecv" @@ fun () ->
   let sreq = isend ~ctx ~pos:send_pos ?count:send_count comm dt sbuf ~dst ~tag:stag in
   let status = recv ~ctx ~pos:recv_pos ?count:recv_count comm dt rbuf ~src ~tag:rtag in
   ignore (Request.wait sreq);
   status
 
 let sendrecv_replace ?(ctx = Msg.User) ?(pos = 0) ?count comm dt buf ~dst ~stag ~src ~rtag =
-  let w = Comm.world comm in
-  if ctx = Msg.User then record w "MPI_Sendrecv_replace";
-  traced ~ctx comm ~op:"MPI_Sendrecv_replace" @@ fun () ->
+  Comm.call ~ctx comm ~cat:P2p ~op:"MPI_Sendrecv_replace" @@ fun () ->
   (* the outgoing data is snapshotted at injection time (the runtime copies
      payloads eagerly), so receiving into the same window is safe *)
   let sreq = isend ~ctx ~pos ?count comm dt buf ~dst ~tag:stag in
@@ -397,8 +341,7 @@ let send_sparse ?(ctx = Msg.User) comm dt ~count ~dst ~tag =
   Datatype.mark_committed dt;
   ignore (Datatype.bytes dt count) (* count >= 0 and byte size representable *);
   let w = Comm.world comm in
-  if ctx = Msg.User then record w "MPI_Send";
-  traced ~ctx comm ~op:"MPI_Send" @@ fun () ->
+  Comm.call ~ctx comm ~cat:P2p ~op:"MPI_Send" @@ fun () ->
   charge_setup ~ctx comm;
   let injected =
     inject_raw comm dt ~count ~dst ~tag ~ctx ~on_matched:None
@@ -406,48 +349,15 @@ let send_sparse ?(ctx = Msg.User) comm dt ~count ~dst ~tag =
   in
   Engine.delay w.World.engine (injected -. World.now w)
 
+(* A sparse receive has no window: the payload is checked, never copied. *)
 let recv_sparse ?(ctx = Msg.User) comm dt ~capacity ~src ~tag =
   Comm.check_active comm;
   check_recv_tag ~ctx tag;
   Datatype.mark_committed dt;
   ignore (Datatype.bytes dt capacity);
-  let w = Comm.world comm in
-  if ctx = Msg.User then record w "MPI_Recv";
-  traced ~ctx comm ~op:"MPI_Recv" @@ fun () ->
+  Comm.call ~ctx comm ~cat:P2p ~op:"MPI_Recv" @@ fun () ->
   charge_setup ~ctx comm;
-  let posted = World.now w in
-  let mb = w.World.mailboxes.(my_world comm) in
-  match
-    Msg.take_unexpected ?choose:(World.match_chooser w) mb ~src ~tag ~comm:(Comm.id comm) ~ctx
-  with
-  | Some env -> begin
-      stamp_env_match env ~posted ~time:(World.now w);
-      let checked = verify_payload env dt capacity in
-      Msg.release w.World.env_pool env;
-      match checked with
-      | Ok st -> st
-      | Error e ->
-          record_mismatch comm ~op:"MPI_Recv" ~src ~tag e;
-          raise e
-    end
-  | None -> begin
-      match dead_peer comm ~src with
-      | Some wr ->
-          Engine.delay w.World.engine w.World.detection_delay;
-          raise (Errors.Process_failed { world_rank = wr })
-      | None ->
-          Engine.suspend w.World.engine (fun resumer ->
-              let deliver env =
-                stamp_env_match env ~posted ~time:(World.now w);
-                match verify_payload env dt capacity with
-                | Ok st -> Engine.resume resumer st
-                | Error e ->
-                    record_mismatch comm ~op:"MPI_Recv" ~src ~tag e;
-                    Engine.fail resumer e
-              in
-              let on_fail e = Engine.fail resumer e in
-              Msg.post mb (make_pending comm ~src ~tag ~ctx ~deliver ~on_fail))
-    end
+  receive comm ~ctx ~op:"MPI_Recv" ~src ~tag dt [||] ~pos:0 ~capacity Block
 
 (* ------------------------------------------------------------------ *)
 (* Persistent operations (MPI-4 §3.9).                                 *)
@@ -459,13 +369,6 @@ let recv_sparse ?(ctx = Msg.User) comm dt ~capacity ~src ~tag =
 (* with the world's pooled envelopes) and charges nothing.             *)
 (* ------------------------------------------------------------------ *)
 
-let track_persist comm ~op h =
-  let w = Comm.world comm in
-  Checker.track_persistent w.World.check ~rank:(my_world comm) ~comm:(Comm.id comm) ~op
-    ~at:(World.now w)
-    ~freed:(fun () -> Persist.is_freed h)
-    ~starts:(fun () -> Persist.starts h)
-
 let send_init_gen ~sync ?(ctx = Msg.User) ?(pos = 0) ?count comm dt buf ~dst ~tag =
   Comm.check_active comm;
   check_tag ~ctx tag;
@@ -474,39 +377,28 @@ let send_init_gen ~sync ?(ctx = Msg.User) ?(pos = 0) ?count comm dt buf ~dst ~ta
   let count = window_bounds ~what:op buf pos count in
   let w = Comm.world comm in
   ignore (Comm.world_rank_of comm dst);
-  if ctx = Msg.User then record w op;
-  traced ~ctx comm ~op @@ fun () ->
+  Comm.call ~ctx comm ~cat:P2p ~op @@ fun () ->
   charge_setup ~ctx comm;
   let latency = (Netmodel.params w.World.net).Netmodel.latency in
-  let start h =
-    Comm.check_active comm;
-    traced ~ctx comm ~op:"MPI_Start" @@ fun () ->
-    let req = Persist.request h in
-    let on_matched =
-      if sync then
-        Some
-          (fun () ->
-            (* synchronous mode: complete when the matching ack returns *)
-            Engine.schedule w.World.engine ~delay:latency (fun () ->
-                Request.complete req { source = dst; tag; count }))
-      else None
-    in
-    let injected =
-      inject_raw comm dt ~count ~dst ~tag ~ctx ~on_matched
-        ~payload:(fun () -> Msg.Packed (dt, Array.sub buf pos count))
-    in
-    if not sync then
-      Engine.schedule w.World.engine
-        ~delay:(injected -. World.now w)
-        (fun () -> Request.complete req { source = dst; tag; count })
-  in
-  let h =
-    Persist.make w.World.engine ~op
-      ~around_wait:(fun _ f -> traced ~ctx comm ~op:"MPI_Wait" f)
-      start
-  in
-  if ctx = Msg.User then track_persist comm ~op h;
-  h
+  Comm.persistent comm ~ctx ~cat:P2p ~op (fun h ->
+      let req = Persist.request h in
+      let on_matched =
+        if sync then
+          Some
+            (fun () ->
+              (* synchronous mode: complete when the matching ack returns *)
+              Engine.schedule w.World.engine ~delay:latency (fun () ->
+                  Request.complete req { source = dst; tag; count }))
+        else None
+      in
+      let injected =
+        inject_raw comm dt ~count ~dst ~tag ~ctx ~on_matched
+          ~payload:(fun () -> Msg.Packed (dt, Array.sub buf pos count))
+      in
+      if not sync then
+        Engine.schedule w.World.engine
+          ~delay:(injected -. World.now w)
+          (fun () -> Request.complete req { source = dst; tag; count }))
 
 let send_init ?ctx ?pos ?count comm dt buf ~dst ~tag =
   send_init_gen ~sync:false ?ctx ?pos ?count comm dt buf ~dst ~tag
@@ -520,79 +412,32 @@ let recv_init ?(ctx = Msg.User) ?(pos = 0) ?count comm dt buf ~src ~tag =
   Datatype.mark_committed dt;
   let op = "MPI_Recv_init" in
   let capacity = window_bounds ~what:op buf pos count in
-  let w = Comm.world comm in
   if src <> any_source then ignore (Comm.world_rank_of comm src);
-  if ctx = Msg.User then record w op;
-  traced ~ctx comm ~op @@ fun () ->
+  Comm.call ~ctx comm ~cat:P2p ~op @@ fun () ->
   charge_setup ~ctx comm;
-  let mb = w.World.mailboxes.(my_world comm) in
   (* the live posted receive of the active round, so [cancel] can retire a
      standing channel that will never be matched again *)
   let current = ref None in
   let start h =
-    Comm.check_active comm;
-    traced ~ctx comm ~op:"MPI_Start" @@ fun () ->
-    let req = Persist.request h in
-    current := None;
-    let posted = World.now w in
-    match
-      Msg.take_unexpected ?choose:(World.match_chooser w) mb ~src ~tag ~comm:(Comm.id comm) ~ctx
-    with
-    | Some env -> begin
-        stamp_env_match env ~posted ~time:(World.now w);
-        let copied = copy_payload env dt buf pos capacity in
-        Msg.release w.World.env_pool env;
-        match copied with
-        | Ok st -> Request.complete req st
-        | Error e ->
-            record_mismatch comm ~op ~src ~tag e;
-            Request.abort req e
-      end
-    | None -> begin
-        match dead_peer comm ~src with
-        | Some wr ->
-            (* round guard: if the handle was restarted (or cancelled and
-               restarted) before the detection delay elapses, this callback
-               belongs to a dead round and must not touch the request *)
-            let round = Persist.starts h in
-            Engine.schedule w.World.engine ~delay:w.World.detection_delay (fun () ->
-                if Persist.starts h = round && Persist.is_active h then
-                  Request.abort req (Errors.Process_failed { world_rank = wr }))
-        | None ->
-            let deliver env =
-              current := None;
-              stamp_env_match env ~posted ~time:(World.now w);
-              match copy_payload env dt buf pos capacity with
-              | Ok st -> Request.complete req st
-              | Error e ->
-                  record_mismatch comm ~op ~src ~tag e;
-                  Request.abort req e
-            in
-            let on_fail e =
-              current := None;
-              Request.abort req e
-            in
-            let pr = make_pending comm ~src ~tag ~ctx ~deliver ~on_fail in
-            current := Some pr;
-            Msg.post mb pr
-      end
+    let round = Persist.starts h in
+    current :=
+      receive comm ~ctx ~op ~src ~tag dt buf ~pos ~capacity
+        (Notify
+           (fun landed ->
+             (* round guard: a failure detected after the handle was
+                restarted (or cancelled and restarted) belongs to a dead
+                round and must not touch the request *)
+             if Persist.starts h = round && Persist.is_active h then
+               settle (Persist.request h) landed))
   in
   let cancel h =
-    (match !current with
-    | Some (pr : Msg.pending_recv) -> pr.Msg.live <- false
-    | None -> ());
+    Option.iter (fun (p : Msg.pattern) -> p.live <- false) !current;
     current := None;
     (* park the round's request failed so a later [start] can rearm it;
        the handle is inactive after cancel, so nothing observes [Exit] *)
     Request.abort (Persist.request h) Exit
   in
-  let h =
-    Persist.make w.World.engine ~op ~cancel
-      ~around_wait:(fun _ f -> traced ~ctx comm ~op:"MPI_Wait" f)
-      start
-  in
-  if ctx = Msg.User then track_persist comm ~op h;
-  h
+  Comm.persistent comm ~ctx ~cat:P2p ~op ~cancel start
 
 (* ------------------------------------------------------------------ *)
 (* Partitioned communication (MPI-4 §4).                               *)
@@ -623,21 +468,18 @@ let psend_init ?(ctx = Msg.User) comm dt buf ~partitions ~count ~dst ~tag =
   check_partitioned ~op ~partitions ~count buf;
   let w = Comm.world comm in
   ignore (Comm.world_rank_of comm dst);
-  if ctx = Msg.User then record w op;
-  traced ~ctx comm ~op @@ fun () ->
+  Comm.call ~ctx comm ~cat:P2p ~op @@ fun () ->
   charge_setup ~ctx comm;
   let readied = Array.make partitions false in
   let remaining = ref partitions in
   let start _h =
-    Comm.check_active comm;
-    traced ~ctx comm ~op:"MPI_Start" @@ fun () ->
     Array.fill readied 0 partitions false;
     remaining := partitions
   in
   let pready h i =
     Comm.check_active comm;
     if readied.(i) then Errors.usage "%s: partition %d readied twice" op i;
-    traced ~ctx comm ~op:"MPI_Pready" @@ fun () ->
+    Comm.call ~counted:false ~ctx comm ~cat:P2p ~op:"MPI_Pready" @@ fun () ->
     readied.(i) <- true;
     let req = Persist.request h in
     let injected =
@@ -652,13 +494,7 @@ let psend_init ?(ctx = Msg.User) comm dt buf ~partitions ~count ~dst ~tag =
         ~delay:(injected -. World.now w)
         (fun () -> Request.complete req { source = dst; tag; count = partitions * count })
   in
-  let h =
-    Persist.make w.World.engine ~op ~partitions ~pready
-      ~around_wait:(fun _ f -> traced ~ctx comm ~op:"MPI_Wait" f)
-      start
-  in
-  if ctx = Msg.User then track_persist comm ~op h;
-  h
+  Comm.persistent comm ~ctx ~cat:P2p ~op ~partitions ~pready start
 
 let precv_init ?(ctx = Msg.User) comm dt buf ~partitions ~count ~src ~tag =
   Comm.check_active comm;
@@ -669,23 +505,17 @@ let precv_init ?(ctx = Msg.User) comm dt buf ~partitions ~count ~src ~tag =
   check_partitioned ~op ~partitions ~count buf;
   let w = Comm.world comm in
   ignore (Comm.world_rank_of comm src);
-  if ctx = Msg.User then record w op;
-  traced ~ctx comm ~op @@ fun () ->
+  Comm.call ~ctx comm ~cat:P2p ~op @@ fun () ->
   charge_setup ~ctx comm;
-  let mb = w.World.mailboxes.(my_world comm) in
   let arrived = Array.make partitions false in
-  let pendings : Msg.pending_recv option array = Array.make partitions None in
+  let pendings = Array.make partitions None in
   let start h =
-    Comm.check_active comm;
-    traced ~ctx comm ~op:"MPI_Start" @@ fun () ->
     let req = Persist.request h in
     Array.fill arrived 0 partitions false;
     Array.fill pendings 0 partitions None;
-    let posted = World.now w in
     let remaining = ref partitions in
     let finish_one i =
       arrived.(i) <- true;
-      pendings.(i) <- None;
       decr remaining;
       if !remaining = 0 && not (Request.is_failed req) then
         Request.complete req { source = src; tag; count = partitions * count }
@@ -695,52 +525,19 @@ let precv_init ?(ctx = Msg.User) comm dt buf ~partitions ~count ~src ~tag =
         let round = Persist.starts h in
         Engine.schedule w.World.engine ~delay:w.World.detection_delay (fun () ->
             if Persist.starts h = round && Persist.is_active h then
-              Request.abort req (Errors.Process_failed { world_rank = wr }))
+              Request.abort req (peer_failed wr))
     | None ->
         for i = 0 to partitions - 1 do
-          let tag_i = ptag ~tag i in
-          match Msg.take_unexpected mb ~src ~tag:tag_i ~comm:(Comm.id comm) ~ctx:Msg.Internal with
-          | Some env -> begin
-              stamp_env_match env ~posted ~time:(World.now w);
-              let copied = copy_payload env dt buf (i * count) count in
-              Msg.release w.World.env_pool env;
-              match copied with
-              | Ok _ -> finish_one i
-              | Error e ->
-                  record_mismatch comm ~op ~src ~tag e;
-                  Request.abort req e
-            end
-          | None ->
-              let deliver env =
-                stamp_env_match env ~posted ~time:(World.now w);
-                match copy_payload env dt buf (i * count) count with
-                | Ok _ -> finish_one i
-                | Error e ->
-                    record_mismatch comm ~op ~src ~tag e;
-                    Request.abort req e
-              in
-              let on_fail e =
-                pendings.(i) <- None;
-                Request.abort req e
-              in
-              let pr = make_pending comm ~src ~tag:tag_i ~ctx:Msg.Internal ~deliver ~on_fail in
-              pendings.(i) <- Some pr;
-              Msg.post mb pr
+          pendings.(i) <-
+            receive comm ~ctx:Msg.Internal ~op ~src ~tag:(ptag ~tag i) dt buf ~pos:(i * count)
+              ~capacity:count
+              (Notify (function Ok _ -> finish_one i | Error e -> Request.abort req e))
         done
   in
   let parrived _h i = arrived.(i) in
   let cancel h =
-    Array.iteri
-      (fun i pr ->
-        (match pr with Some (pr : Msg.pending_recv) -> pr.Msg.live <- false | None -> ());
-        pendings.(i) <- None)
-      pendings;
+    Array.iter (Option.iter (fun (p : Msg.pattern) -> p.live <- false)) pendings;
+    Array.fill pendings 0 partitions None;
     Request.abort (Persist.request h) Exit
   in
-  let h =
-    Persist.make w.World.engine ~op ~partitions ~parrived ~cancel
-      ~around_wait:(fun _ f -> traced ~ctx comm ~op:"MPI_Wait" f)
-      start
-  in
-  if ctx = Msg.User then track_persist comm ~op h;
-  h
+  Comm.persistent comm ~ctx ~cat:P2p ~op ~partitions ~parrived ~cancel start

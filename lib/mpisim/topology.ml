@@ -5,7 +5,7 @@ type t = { comm : Comm.t; sources : int array; destinations : int array }
    that with a barrier (synchronization) plus a per-edge setup cost. *)
 let dist_graph_create_adjacent comm ~sources ~destinations =
   Comm.check_active comm;
-  Profiling.record_call (Comm.world comm).World.prof "MPI_Dist_graph_create_adjacent";
+  Comm.count ~ctx:User comm ~op:"MPI_Dist_graph_create_adjacent";
   let check_rank what r =
     if r < 0 || r >= Comm.size comm then Errors.usage "dist_graph_create_adjacent: bad %s rank %d" what r
   in
@@ -35,7 +35,7 @@ let outdegree topo = Array.length topo.destinations
 let neighbor_exchange topo dt ~sendbuf ~scounts ~sdispls ~recvbuf ~rcounts ~rdispls ~name =
   let comm = topo.comm in
   Comm.check_active comm;
-  Profiling.record_call (Comm.world comm).World.prof name;
+  Comm.count ~ctx:User comm ~op:name;
   let tag = Comm.next_collective_tag comm in
   let recv_reqs =
     List.init (Array.length topo.sources) (fun j ->

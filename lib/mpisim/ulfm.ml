@@ -19,7 +19,7 @@ let schedule_failures w ~fail_at =
   List.iter (fun (world_rank, at) -> schedule_failure w ~at ~world_rank) fail_at
 
 let revoke comm =
-  Profiling.record_call (Comm.world comm).World.prof "MPI_Comm_revoke";
+  Comm.count ~ctx:User comm ~op:"MPI_Comm_revoke";
   World.revoke (Comm.world comm) (Comm.shared comm)
 
 let is_revoked = Comm.is_revoked
@@ -39,7 +39,7 @@ let num_failed comm = Comm.size comm - Array.length (survivors comm)
    provides the synchronization the real protocol would. *)
 let shrink comm =
   let w = Comm.world comm in
-  Profiling.record_call w.World.prof "MPI_Comm_shrink";
+  Comm.count ~ctx:User comm ~op:"MPI_Comm_shrink";
   let epoch = Comm.next_shrink_epoch comm in
   let key = (Comm.id comm, epoch) in
   let shared =
@@ -69,7 +69,7 @@ let shrink comm =
    latency, charged to every participant. *)
 let agree comm v =
   let w = Comm.world comm in
-  Profiling.record_call w.World.prof "MPI_Comm_agree";
+  Comm.count ~ctx:User comm ~op:"MPI_Comm_agree";
   let epoch = Comm.next_agree_epoch comm in
   let key = (Comm.id comm, epoch) in
   let n_survivors = Array.length (survivors comm) in

@@ -155,11 +155,11 @@ let kill w r =
     Ds.Bitset.clear w.alive r;
     w.death_times.(r) <- now w;
     if r < Array.length w.fibers then Engine.kill w.engine w.fibers.(r);
-    (* The dead rank's own posted receives will never be resumed. *)
+    (* The dead rank's own posted receives and probes will never be resumed. *)
     Array.iter (fun mb -> Msg.drop_owned mb ~world_rank:r) w.mailboxes;
     (* Receives expecting data from [r] fail after the detection delay. *)
-    let expects_dead (pr : Msg.pending_recv) =
-      pr.src_world = r || (pr.src_world = -1 && Array.exists (fun g -> g = r) pr.comm_group)
+    let expects_dead (p : Msg.pattern) =
+      p.src_world = r || (p.src_world = -1 && Array.exists (fun g -> g = r) p.group)
     in
     Engine.schedule w.engine ~delay:w.detection_delay (fun () ->
         Array.iter
@@ -177,7 +177,7 @@ let revoke w shared =
         Array.iter
           (fun mb ->
             Msg.fail_matching mb
-              ~pred:(fun pr -> pr.want_comm = shared.cid)
+              ~pred:(fun (p : Msg.pattern) -> p.comm = shared.cid)
               ~exn:Errors.Comm_revoked)
           w.mailboxes)
   end

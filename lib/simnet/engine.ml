@@ -213,6 +213,7 @@ let yield t = perform (Delay (t, 0.0))
 let suspend t register = perform (Suspend (t, register))
 let resume r v = r.deliver (Ok v)
 let fail r e = r.deliver (Error e)
+let settle r = r.deliver
 
 let exec t f =
   t.events <- t.events + 1;

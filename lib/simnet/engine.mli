@@ -167,3 +167,8 @@ val resume : 'a resumer -> 'a -> unit
 (** [fail r exn] wakes the suspended fiber by raising [exn] at its suspension
     point. *)
 val fail : 'a resumer -> exn -> unit
+
+(** [settle r] is the waking function of [r] itself: [settle r (Ok v)] is
+    [resume r v] and [settle r (Error e)] is [fail r e].  Handing it on
+    allocates nothing. *)
+val settle : 'a resumer -> ('a, exn) result -> unit
