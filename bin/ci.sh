@@ -123,3 +123,18 @@ MPISIM_EXPLORE=random:42 MPISIM_CHECK=communication dune exec examples/stream_wi
 MPISIM_CHECK=communication dune exec test/test_main.exe -- test scenarios
 dune exec bench/main.exe -- apps
 test -s BENCH_apps.json
+
+# Tenth pass: the host-cost benchmark's traced run as a gate.  With
+# --trace 1 the benchmark checks observer purity (checker, recorder and
+# host profiler change no simulated result), the zero-overhead
+# differential against the plain-MPI variant and the closure of the
+# per-layer attribution, at p=2048 (lockstep) and p=256 (bfs_sparse).
+# The output is echoed; the pass fails unless its result line (the last
+# line) says "correct": true.
+for workload in lockstep bfs_sparse; do
+  python3 perfbench/run.py --workload "$workload" --seed 1 --seconds 25 --trace 1 |
+    python3 -c 'import json, sys
+out = sys.stdin.read().splitlines()
+print("\n".join(out))
+sys.exit(0 if out and json.loads(out[-1])["correct"] is True else 1)'
+done

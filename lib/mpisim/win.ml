@@ -76,7 +76,8 @@ let create comm dt segment =
   }
 
 let free win =
-  Comm.call ~ctx:User win.comm ~cat:Rma ~op:"MPI_Win_free" @@ fun () -> Checker.release_window win.tok
+  Comm.call ~ctx:User win.comm ~cat:Rma ~op:"MPI_Win_free" @@ fun () ->
+  Checker.release_window win.tok
 
 let local win = win.segment
 let size_of win target = win.sizes.(target)
