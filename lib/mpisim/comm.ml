@@ -49,18 +49,19 @@ type cat = P2p | Coll | Rma | User
 
 let cat_name = function P2p -> "p2p" | Coll -> "coll" | Rma -> "rma" | User -> "user"
 
-(* Every user-level call enters here: the PMPI count, then the trace span
-   around [f].  [Fun.protect] spans the fiber's suspensions, so the span
-   covers the full blocking time of the call; exceptional exits are
-   closed too.  A collective span draws a per-(rank, communicator)
-   sequence number: every rank issues the same collectives in the same
-   order, so the k-th one lines up across ranks.  Library-internal
-   traffic is invisible to both observers. *)
+(* Library-internal traffic is invisible to the PMPI profile and to the
+   trace recorder. *)
 let count ~ctx c ~op =
   match (ctx : Msg.ctx) with
   | Internal -> ()
   | User -> Profiling.record_call c.world.World.prof op
 
+(* Every user-level call enters here: the PMPI count, then the trace span
+   around [f].  [Fun.protect] spans the fiber's suspensions, so the span
+   covers the full blocking time of the call; exceptional exits are
+   closed too.  A collective span draws a per-(rank, communicator)
+   sequence number: every rank issues the same collectives in the same
+   order, so the k-th one lines up across ranks. *)
 let call ?(counted = true) ~ctx c ~cat ~op f =
   match (ctx : Msg.ctx) with
   | Internal -> f ()

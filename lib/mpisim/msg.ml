@@ -104,7 +104,8 @@ let matches ~src ~tag ~comm ~ctx (env : envelope) =
   && (src = any_source || src = env.src)
   && (tag = any_tag || tag = env.tag)
 
-let accepts (p : pattern) env = p.live && matches ~src:p.src ~tag:p.tag ~comm:p.comm ~ctx:p.ctx env
+let accepts (p : pattern) env =
+  p.live && matches ~src:p.src ~tag:p.tag ~comm:p.comm ~ctx:p.ctx env
 
 let arrive pool mb env =
   (* Probe waiters observe the message without consuming it. *)
@@ -200,8 +201,8 @@ let peek_unexpected mb ~src ~tag ~comm ~ctx =
   | Some i -> Some (Ds.Vec.get mb.unexpected i)
   | None -> None
 
-let post mb pr = mb.posted <- mb.posted @ [ pr ]
-let post_probe mb pw = mb.probes <- mb.probes @ [ pw ]
+let post mb p = mb.posted <- mb.posted @ [ p ]
+let post_probe mb p = mb.probes <- mb.probes @ [ p ]
 
 (* Remove the patterns satisfying [pred] from both queues and deactivate
    them; returns them, posted receives first. *)
@@ -221,6 +222,6 @@ let drop_owned mb ~world_rank = ignore (retire mb (fun p -> p.owner = world_rank
 
 (* Checker views: the correctness layer inspects mailbox contents at
    quiesce and finalize without consuming anything. *)
-let live_posted mb = List.filter (fun pr -> pr.live) mb.posted
+let live_posted mb = List.filter (fun p -> p.live) mb.posted
 let live_probes mb = List.filter (fun p -> p.live) mb.probes
 let iter_unexpected mb f = Ds.Vec.iter f mb.unexpected

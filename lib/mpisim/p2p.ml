@@ -424,9 +424,10 @@ let recv_init ?(ctx = Msg.User) ?(pos = 0) ?count comm dt buf ~src ~tag =
       receive comm ~ctx ~op ~src ~tag dt buf ~pos ~capacity
         (Notify
            (fun landed ->
-             (* round guard: a failure detected after the handle was
-                restarted (or cancelled and restarted) belongs to a dead
-                round and must not touch the request *)
+             (* round guard: a dead peer's failure is reported after the
+                detection delay; if the handle was restarted (or cancelled
+                and restarted) meanwhile, it belongs to a dead round and
+                must not touch the request *)
              if Persist.starts h = round && Persist.is_active h then
                settle (Persist.request h) landed))
   in
