@@ -138,6 +138,8 @@ let issend ?(ctx = Msg.User) ?(pos = 0) ?count comm dt buf ~dst ~tag =
 (* with [land_env].  Callers keep only their completion logic.         *)
 (* ------------------------------------------------------------------ *)
 
+let status_of (env : Msg.envelope) = { Request.source = env.src; tag = env.tag; count = env.count }
+
 (* The one type-and-capacity check: [n] elements of [sdt] land in a
    receive of [rdt] with room for [capacity] elements.  [data] is copied
    into [buf] at [pos] unless the receive has no window: a sparse receive
@@ -150,7 +152,7 @@ let accept (type a b) (env : Msg.envelope) (sdt : b Datatype.t) (data : b array)
       if n > capacity then Error (Errors.Truncated { sent = n; capacity })
       else begin
         if Array.length buf > 0 then Array.blit data 0 buf pos (Array.length data);
-        Ok { Request.source = env.src; tag = env.tag; count = n }
+        Ok (status_of env)
       end
 
 (* Land a matched envelope: stamp the receive-side trace times, run the
@@ -289,8 +291,6 @@ let irecv ?(ctx = Msg.User) ?(pos = 0) ?count comm dt buf ~src ~tag =
   charge_setup ~ctx comm;
   ignore (receive comm ~ctx ~op:"MPI_Irecv" ~src ~tag dt buf ~pos ~capacity (Notify (settle req)));
   req
-
-let status_of (env : Msg.envelope) = { Request.source = env.src; tag = env.tag; count = env.count }
 
 let probe ?(ctx = Msg.User) comm ~src ~tag =
   Comm.check_active comm;
