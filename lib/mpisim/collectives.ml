@@ -14,9 +14,16 @@ let check_root comm root =
 let check_count what count =
   if count < 0 then Errors.usage "%s: negative count %d" what count
 
-(* The entry of every collective: the communication-level ordering check
-   (log this rank's next collective on the communicator and verify it
-   against the sequence the other ranks issued), then the call boundary.
+(* Every collective starts here, before validating its arguments: the
+   communicator must be active, and the call is counted in the PMPI
+   profile even when validation then rejects it. *)
+let enter comm ~op =
+  Comm.check_active comm;
+  Comm.count ~ctx:User comm ~op
+
+(* After validation: the communication-level ordering check (log this
+   rank's next collective on the communicator and verify it against the
+   sequence the other ranks issued), then the span of the call boundary.
    [root]/[count]/[dt] default to "not checked" (v-variants legitimately
    differ per rank in their counts). *)
 let coll ?(root = -1) ?(count = -1) ?dt comm ~op f =
@@ -25,7 +32,7 @@ let coll ?(root = -1) ?(count = -1) ?dt comm ~op f =
       ~rank:(Comm.world_rank_of comm (Comm.rank comm))
       ~comm:(Comm.id comm) ~op ~root ~count
       ~datatype:(match dt with Some dt -> Datatype.name dt | None -> "");
-  Comm.call ~ctx:User comm ~cat:Coll ~op f
+  Comm.call ~counted:false ~ctx:User comm ~cat:Coll ~op f
 
 (* ------------------------------------------------------------------ *)
 (* Algorithm selection.                                                *)
@@ -139,12 +146,12 @@ let run_alltoall comm dt ~sendbuf ~recvbuf ~count algo ~tags:(t1, t2, t3, t4) =
 (* ------------------------------------------------------------------ *)
 
 let barrier comm =
-  Comm.check_active comm;
+  enter comm ~op:"MPI_Barrier";
   coll comm ~op:"MPI_Barrier" @@ fun () ->
   Coll_impl.dissemination comm ~tag:(Comm.next_collective_tag comm)
 
 let bcast ?(pos = 0) ?count comm dt buf ~root =
-  Comm.check_active comm;
+  enter comm ~op:"MPI_Bcast";
   check_root comm root;
   let count = match count with Some c -> c | None -> Array.length buf - pos in
   check_count "bcast" count;
@@ -155,7 +162,7 @@ let bcast ?(pos = 0) ?count comm dt buf ~root =
   run_bcast comm dt buf pos count ~root algo ~tags
 
 let reduce ?(pos = 0) ?recvbuf comm dt op ~sendbuf ~count ~root =
-  Comm.check_active comm;
+  enter comm ~op:"MPI_Reduce";
   check_root comm root;
   check_count "reduce" count;
   coll ~root ~count ~dt comm ~op:"MPI_Reduce" @@ fun () ->
@@ -168,7 +175,7 @@ let reduce ?(pos = 0) ?recvbuf comm dt op ~sendbuf ~count ~root =
   end
 
 let allreduce ?(pos = 0) comm dt op ~sendbuf ~recvbuf ~count =
-  Comm.check_active comm;
+  enter comm ~op:"MPI_Allreduce";
   check_count "allreduce" count;
   coll ~count ~dt comm ~op:"MPI_Allreduce" @@ fun () ->
   let tags = draw4 comm in
@@ -177,7 +184,7 @@ let allreduce ?(pos = 0) comm dt op ~sendbuf ~recvbuf ~count =
   run_allreduce comm dt op ~sendbuf ~pos ~recvbuf ~count algo ~tags
 
 let allgather ?(inplace = false) ?(spos = 0) ?(rpos = 0) comm dt ~sendbuf ~recvbuf ~count =
-  Comm.check_active comm;
+  enter comm ~op:"MPI_Allgather";
   check_count "allgather" count;
   coll ~count ~dt comm ~op:"MPI_Allgather" @@ fun () ->
   let tag = Comm.next_collective_tag comm in
@@ -192,7 +199,7 @@ let allgather ?(inplace = false) ?(spos = 0) ?(rpos = 0) comm dt ~sendbuf ~recvb
    Successive messages between the same neighbours share a tag; the network
    model preserves per-link FIFO order (injection rate >= wire rate). *)
 let allgatherv ?(inplace = false) ?(spos = 0) comm dt ~sendbuf ~scount ~recvbuf ~rcounts ~rdispls =
-  Comm.check_active comm;
+  enter comm ~op:"MPI_Allgatherv";
   check_count "allgatherv" scount;
   let p = Comm.size comm and r = Comm.rank comm in
   if Array.length rcounts <> p || Array.length rdispls <> p then
@@ -219,7 +226,7 @@ let allgatherv ?(inplace = false) ?(spos = 0) comm dt ~sendbuf ~scount ~recvbuf 
   end
 
 let gather ?(spos = 0) ?(rpos = 0) ?recvbuf comm dt ~sendbuf ~count ~root =
-  Comm.check_active comm;
+  enter comm ~op:"MPI_Gather";
   check_root comm root;
   check_count "gather" count;
   coll ~root ~count ~dt comm ~op:"MPI_Gather" @@ fun () ->
@@ -240,7 +247,7 @@ let gather ?(spos = 0) ?(rpos = 0) ?recvbuf comm dt ~sendbuf ~count ~root =
   else P2p.send ~ctx:Internal ~pos:spos ~count comm dt sendbuf ~dst:root ~tag
 
 let gatherv ?(spos = 0) ?recvbuf ?rcounts ?rdispls comm dt ~sendbuf ~scount ~root =
-  Comm.check_active comm;
+  enter comm ~op:"MPI_Gatherv";
   check_root comm root;
   check_count "gatherv" scount;
   coll ~root ~dt comm ~op:"MPI_Gatherv" @@ fun () ->
@@ -262,7 +269,7 @@ let gatherv ?(spos = 0) ?recvbuf ?rcounts ?rdispls comm dt ~sendbuf ~scount ~roo
   else P2p.send ~ctx:Internal ~pos:spos ~count:scount comm dt sendbuf ~dst:root ~tag
 
 let scatter ?(spos = 0) ?(rpos = 0) ?sendbuf comm dt ~recvbuf ~count ~root =
-  Comm.check_active comm;
+  enter comm ~op:"MPI_Scatter";
   check_root comm root;
   check_count "scatter" count;
   coll ~root ~count ~dt comm ~op:"MPI_Scatter" @@ fun () ->
@@ -283,7 +290,7 @@ let scatter ?(spos = 0) ?(rpos = 0) ?sendbuf comm dt ~recvbuf ~count ~root =
   else ignore (P2p.recv ~ctx:Internal ~pos:rpos ~count comm dt recvbuf ~src:root ~tag)
 
 let scatterv ?(rpos = 0) ?sendbuf ?scounts ?sdispls comm dt ~recvbuf ~rcount ~root =
-  Comm.check_active comm;
+  enter comm ~op:"MPI_Scatterv";
   check_root comm root;
   check_count "scatterv" rcount;
   coll ~root ~dt comm ~op:"MPI_Scatterv" @@ fun () ->
@@ -304,7 +311,7 @@ let scatterv ?(rpos = 0) ?sendbuf ?scounts ?sdispls comm dt ~recvbuf ~rcount ~ro
   else ignore (P2p.recv ~ctx:Internal ~pos:rpos ~count:rcount comm dt recvbuf ~src:root ~tag)
 
 let alltoall comm dt ~sendbuf ~recvbuf ~count =
-  Comm.check_active comm;
+  enter comm ~op:"MPI_Alltoall";
   check_count "alltoall" count;
   coll ~count ~dt comm ~op:"MPI_Alltoall" @@ fun () ->
   let tags = draw4 comm in
@@ -320,7 +327,7 @@ let check_v_arrays what comm scounts sdispls rcounts rdispls =
   then Errors.usage "%s: counts/displacements must have one entry per rank" what
 
 let alltoallv comm dt ~sendbuf ~scounts ~sdispls ~recvbuf ~rcounts ~rdispls =
-  Comm.check_active comm;
+  enter comm ~op:"MPI_Alltoallv";
   check_v_arrays "alltoallv" comm scounts sdispls rcounts rdispls;
   coll ~dt comm ~op:"MPI_Alltoallv" @@ fun () ->
   let tag = Comm.next_collective_tag comm in
@@ -336,7 +343,7 @@ let alltoallv comm dt ~sendbuf ~scounts ~sdispls ~recvbuf ~rcounts ~rdispls =
    on every message — the overheads that make MPL's variable collectives
    measurably slower and less scalable (Ghosh et al., paper Sec. II). *)
 let alltoallw_style comm dt ~sendbuf ~scounts ~sdispls ~recvbuf ~rcounts ~rdispls =
-  Comm.check_active comm;
+  enter comm ~op:"MPI_Alltoallw";
   check_v_arrays "alltoallw" comm scounts sdispls rcounts rdispls;
   coll ~dt comm ~op:"MPI_Alltoallw" @@ fun () ->
   let p = Comm.size comm in
@@ -355,7 +362,7 @@ let alltoallw_style comm dt ~sendbuf ~scounts ~sdispls ~recvbuf ~rcounts ~rdispl
    blocks (the simple algorithm; tuned implementations exist but the cost
    shape — full reduction volume plus a scatter — is the same). *)
 let reduce_scatter_block comm dt op ~sendbuf ~recvbuf ~count =
-  Comm.check_active comm;
+  enter comm ~op:"MPI_Reduce_scatter_block";
   check_count "reduce_scatter_block" count;
   coll ~count ~dt comm ~op:"MPI_Reduce_scatter_block" @@ fun () ->
   let p = Comm.size comm and r = Comm.rank comm in
@@ -373,7 +380,7 @@ let reduce_scatter_block comm dt op ~sendbuf ~recvbuf ~count =
 
 (* Recursive-doubling inclusive scan. *)
 let scan comm dt op ~sendbuf ~recvbuf ~count =
-  Comm.check_active comm;
+  enter comm ~op:"MPI_Scan";
   check_count "scan" count;
   coll ~count ~dt comm ~op:"MPI_Scan" @@ fun () ->
   let p = Comm.size comm and r = Comm.rank comm in
@@ -403,7 +410,7 @@ let scan comm dt op ~sendbuf ~recvbuf ~count =
   end
 
 let exscan comm dt op ~sendbuf ~recvbuf ~count =
-  Comm.check_active comm;
+  enter comm ~op:"MPI_Exscan";
   check_count "exscan" count;
   coll ~count ~dt comm ~op:"MPI_Exscan" @@ fun () ->
   let p = Comm.size comm and r = Comm.rank comm in
@@ -455,13 +462,13 @@ let spawn_collective comm ~label body =
   req
 
 let ibarrier comm =
-  Comm.check_active comm;
+  enter comm ~op:"MPI_Ibarrier";
   coll comm ~op:"MPI_Ibarrier" @@ fun () ->
   let tag = Comm.next_collective_tag comm in
   spawn_collective comm ~label:"ibarrier" (fun () -> Coll_impl.dissemination comm ~tag)
 
 let ibcast ?(pos = 0) ?count comm dt buf ~root =
-  Comm.check_active comm;
+  enter comm ~op:"MPI_Ibcast";
   check_root comm root;
   let count = match count with Some c -> c | None -> Array.length buf - pos in
   check_count "ibcast" count;
@@ -478,7 +485,7 @@ let ibcast ?(pos = 0) ?count comm dt buf ~root =
    order and all ranks start rounds in the same order (the MPI contract
    for persistent collectives). *)
 let bcast_init ?(pos = 0) ?count comm dt buf ~root =
-  Comm.check_active comm;
+  enter comm ~op:"MPI_Bcast_init";
   check_root comm root;
   let count = match count with Some c -> c | None -> Array.length buf - pos in
   check_count "bcast_init" count;
@@ -500,7 +507,7 @@ let bcast_init ?(pos = 0) ?count comm dt buf ~root =
       ())
 
 let iallreduce comm dt op ~sendbuf ~recvbuf ~count =
-  Comm.check_active comm;
+  enter comm ~op:"MPI_Iallreduce";
   check_count "iallreduce" count;
   coll ~count ~dt comm ~op:"MPI_Iallreduce" @@ fun () ->
   let tags = draw4 comm in
@@ -510,7 +517,7 @@ let iallreduce comm dt op ~sendbuf ~recvbuf ~count =
       run_allreduce comm dt op ~sendbuf ~pos:0 ~recvbuf ~count algo ~tags)
 
 let ialltoallv comm dt ~sendbuf ~scounts ~sdispls ~recvbuf ~rcounts ~rdispls =
-  Comm.check_active comm;
+  enter comm ~op:"MPI_Ialltoallv";
   check_v_arrays "ialltoallv" comm scounts sdispls rcounts rdispls;
   coll ~dt comm ~op:"MPI_Ialltoallv" @@ fun () ->
   let tag = Comm.next_collective_tag comm in
@@ -555,7 +562,7 @@ let position a x =
   go 0
 
 let dup comm =
-  Comm.check_active comm;
+  enter comm ~op:"MPI_Comm_dup";
   coll comm ~op:"MPI_Comm_dup" @@ fun () ->
   let w = Comm.world comm in
   let tag = Comm.next_collective_tag comm in
@@ -566,7 +573,7 @@ let dup comm =
   Comm.make w shared ~rank:(Comm.rank comm)
 
 let split comm ~color ~key =
-  Comm.check_active comm;
+  enter comm ~op:"MPI_Comm_split";
   coll comm ~op:"MPI_Comm_split" @@ fun () ->
   let w = Comm.world comm in
   let p = Comm.size comm and r = Comm.rank comm in

@@ -80,7 +80,8 @@ type cat = P2p | Coll | Rma | User
 
 (** [count ~ctx comm ~op] counts the user-level call [op] in the PMPI
     profile without a span — for polling calls ([MPI_Iprobe]), whose
-    spans would flood the trace. *)
+    spans would flood the trace, and for calls counted before they
+    validate their arguments (then spanned by an uncounted [call]). *)
 val count : ctx:Msg.ctx -> t -> op:string -> unit
 
 (** [call ?counted ~ctx comm ~cat ~op f] runs [f] as the user-level call

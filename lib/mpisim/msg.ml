@@ -131,7 +131,7 @@ let arrive pool mb env =
       (* deliver consumes the envelope synchronously (copy into the
          receive window, then resume/complete), so it can go back to the
          pool.  Unexpected envelopes stay queued and are released by the
-         take_unexpected fast paths in {!P2p}. *)
+         receive path ([P2p.receive]) when it takes them. *)
       release pool env
   | None -> Ds.Vec.push mb.unexpected env
 

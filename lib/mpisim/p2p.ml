@@ -102,10 +102,11 @@ let send ?(ctx = Msg.User) ?(pos = 0) ?count comm dt buf ~dst ~tag =
 
 let isend ?(ctx = Msg.User) ?(pos = 0) ?count comm dt buf ~dst ~tag =
   let w = Comm.world comm in
-  Comm.call ~ctx comm ~cat:P2p ~op:"MPI_Isend" @@ fun () ->
+  Comm.count ~ctx comm ~op:"MPI_Isend";
   let req = Request.create w.World.engine in
   if ctx = Msg.User then track comm ~op:"MPI_Isend" req;
   let count' = window_bounds ~what:"isend" buf pos count in
+  Comm.call ~counted:false ~ctx comm ~cat:P2p ~op:"MPI_Isend" @@ fun () ->
   let injected = inject comm dt buf pos count ~dst ~tag ~ctx ~on_matched:None in
   Engine.schedule w.World.engine
     ~delay:(injected -. World.now w)
@@ -114,7 +115,7 @@ let isend ?(ctx = Msg.User) ?(pos = 0) ?count comm dt buf ~dst ~tag =
 
 let issend ?(ctx = Msg.User) ?(pos = 0) ?count comm dt buf ~dst ~tag =
   let w = Comm.world comm in
-  Comm.call ~ctx comm ~cat:P2p ~op:"MPI_Issend" @@ fun () ->
+  Comm.count ~ctx comm ~op:"MPI_Issend";
   let req = Request.create w.World.engine in
   if ctx = Msg.User then track comm ~op:"MPI_Issend" req;
   let count' = window_bounds ~what:"issend" buf pos count in
@@ -126,6 +127,7 @@ let issend ?(ctx = Msg.User) ?(pos = 0) ?count comm dt buf ~dst ~tag =
         Engine.schedule w.World.engine ~delay:latency (fun () ->
             Request.complete req { source = dst; tag; count = count' }))
   in
+  Comm.call ~counted:false ~ctx comm ~cat:P2p ~op:"MPI_Issend" @@ fun () ->
   ignore (inject comm dt buf pos count ~dst ~tag ~ctx ~on_matched);
   req
 

@@ -327,17 +327,33 @@ let golden_bytes = 9504
 
 let test_golden () =
   let spans, prof = golden_run () in
-  if Sys.getenv_opt "BOUNDARY_DUMP" <> None then begin
-    List.iter (Printf.printf "%S;\n") spans;
-    List.iter (fun (n, c) -> Printf.printf "(%S, %d);\n" n c) prof.Mpisim.Profiling.calls;
-    List.iter (fun (n, c) -> Printf.printf "(%S, %d);\n" n c) prof.Mpisim.Profiling.algo_calls;
-    Printf.printf "messages %d bytes %d\n" prof.messages prof.bytes
-  end;
   Alcotest.(check (list string)) "ordered spans" golden_spans spans;
   Alcotest.(check (list (pair string int))) "call profile" golden_calls prof.Mpisim.Profiling.calls;
   Alcotest.(check (list (pair string int))) "algorithm profile" golden_algo_calls prof.algo_calls;
   Alcotest.(check int) "messages" golden_messages prof.messages;
   Alcotest.(check int) "bytes" golden_bytes prof.bytes
+
+(* Calls rejected by argument validation: each is counted in the PMPI
+   profile (the count comes before validation) but opens no span (the
+   span starts after it). *)
+let test_rejected_calls () =
+  let rejected f = try f (); false with Errors.Usage_error _ -> true in
+  let res =
+    Trace.Recorder.with_default false (fun () ->
+        Mpi.run ~trace:true ~ranks:2 (fun comm ->
+            let buf = Array.make 4 0 in
+            assert (rejected (fun () -> C.bcast comm D.int buf ~root:2));
+            assert (rejected (fun () -> ignore (P.isend comm D.int buf ~pos:3 ~count:2 ~dst:0 ~tag:0)));
+            assert (
+              rejected (fun () -> ignore (P.issend comm D.int buf ~pos:3 ~count:2 ~dst:0 ~tag:0)))))
+  in
+  ignore (Mpi.results_exn res);
+  Alcotest.(check (list (pair string int)))
+    "rejected calls are counted"
+    [ ("MPI_Bcast", 2); ("MPI_Isend", 2); ("MPI_Issend", 2) ]
+    res.Mpi.profile.Mpisim.Profiling.calls;
+  Alcotest.(check int) "rejected calls open no span" 0
+    (List.length (Option.get res.Mpi.trace).Trace.Event.spans)
 
 (* ------------------------------------------------------------------ *)
 (* Payload-landing matrix                                              *)
@@ -488,5 +504,6 @@ let test_dead_probe_not_blocked () =
 
 let suite =
   Alcotest.test_case "golden spans and PMPI profile" `Quick test_golden
+  :: Alcotest.test_case "rejected calls counted, not spanned" `Quick test_rejected_calls
   :: Alcotest.test_case "killed rank's probe is not blocked" `Quick test_dead_probe_not_blocked
   :: landing_matrix
