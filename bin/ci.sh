@@ -66,8 +66,10 @@ test -s BENCH_serving.json
 # the frozen pre-refactor engine (binary heap, boxed entries, unpruned
 # fibers) and the calendar-queue engine; BENCH_engine.json is re-read
 # and every entry of its "checks" object must be true — the >=5x
-# speedup at p=4096, the events/sec floor, flat ranks-scaling through
-# p=16384 inside the time budget, the zero-alloc steady state, and the
+# speedup at p=4096 (median of alternating legacy/calendar pairs), the
+# events/sec floor, flat ranks-scaling through p=16384 inside the time
+# budget, jitter-free (all ranks tied) throughput within 2x of jittered
+# at p in {1024, 4096, 16384}, the zero-alloc steady state, and the
 # profiler-off-vs-fine pure-observer equality — else the experiment
 # exits non-zero.
 dune exec bench/main.exe -- engine

@@ -7,12 +7,19 @@
      the frozen pre-refactor engine ({!Simnet.Legacy_engine}: binary heap,
      boxed queue entries, unpruned fiber list) and on the calendar-queue
      {!Simnet.Engine}; the events/sec ratio at p=4096 is the refactor's
-     measured win and must clear 5x.
+     measured win and must clear 5x.  The two engines' runs alternate and
+     the gate takes the median of the per-pair ratios, so host drift
+     during the measurement hits both sides of a pair alike.
    - {b Ranks scaling} — the calendar engine's events/sec across
      p in {256, 1024, 4096, 16384}.  The queue is O(1) amortized per
      event, so throughput must stay roughly flat (within 4x of the best
      point) instead of degrading with the O(log p) heap slope, and the
      p=16384 point must finish inside the smoke-time budget.
+   - {b Ties} — the same exchange with zero jitter at
+     p in {1024, 4096, 16384}: every rank fires at one timestamp each
+     round, the lockstep regime of a bulk-synchronous MPI program.  At
+     each p, the median over 3 alternating jittered/jitter-free pairs of
+     the events/sec ratio must reach 0.5.
    - {b Zero-alloc steady state} — [Gc.minor_words] across the run,
      divided by events executed: the pooled event loop must stay under a
      small constant per event (the workload's own boxed-float argument
@@ -40,20 +47,24 @@ end
    keeps [fanout] self-rescheduling callback chains in flight (its
    neighbour exchanges), each rescheduling with a deterministic
    per-chain delay jitter so events spread over distinct timestamps the
-   way real per-link latencies do, until a shared event budget of
+   way real per-link latencies do — or, with [~jitter:false], with one
+   shared delay, so each round's events tie — until a shared event
+   budget of
    [ranks * fanout * rounds] runs out.  The closures are preallocated —
    one per chain, reused every round — and the budget counter is a
    single hot cell, so the steady state measures the engine, not the
    workload.  The budget drains identically on any engine that executes
    the same schedule, so event counts must agree across engines. *)
 module Synth (E : CORE) = struct
-  let run ~ranks ~fanout ~rounds =
+  let run ~jitter ~ranks ~fanout ~rounds =
     let e = E.create () in
     let budget = ref (ranks * fanout * rounds) in
     for r = 0 to ranks - 1 do
       for lane = 0 to fanout - 1 do
         let jitter =
-          float_of_int (((r * 2654435761) + (lane * 40503)) land 1023) *. 1e-9
+          if jitter then
+            float_of_int (((r * 2654435761) + (lane * 40503)) land 1023) *. 1e-9
+          else 0.0
         in
         let d = 1e-6 +. jitter in
         let rec fire () =
@@ -63,6 +74,9 @@ module Synth (E : CORE) = struct
         E.schedule e ~delay:((float_of_int lane *. 1e-7) +. jitter) fire
       done
     done;
+    (* collect the previous run's garbage now, not inside this run's
+       timing: the legacy engine leaves ~15 words/event behind *)
+    Gc.full_major ();
     let w0 = Gc.minor_words () in
     let t0 = Profile.now_ns () in
     E.run e;
@@ -71,19 +85,6 @@ module Synth (E : CORE) = struct
     let events = E.events_processed e in
     let wall = float_of_int (t1 - t0) /. 1e9 in
     (events, wall, (w1 -. w0) /. float_of_int events)
-
-  (* Median wall-clock of [n] identical runs: the speedup gate must not
-     flap on one noisy measurement. *)
-  let median ~n ~ranks ~fanout ~rounds =
-    let runs = List.init n (fun _ -> run ~ranks ~fanout ~rounds) in
-    let events, _, _ = List.hd runs in
-    List.iter
-      (fun (ev, _, _) ->
-        if ev <> events then failwith "engine: event count varied across repeat runs")
-      runs;
-    let walls = List.sort Float.compare (List.map (fun (_, w, _) -> w) runs) in
-    let wpes = List.sort Float.compare (List.map (fun (_, _, a) -> a) runs) in
-    (events, List.nth walls (n / 2), List.nth wpes (n / 2))
 end
 
 module Calendar = Synth (Simnet.Engine)
@@ -98,6 +99,45 @@ let event_target = 2_000_000
 let rounds_for ranks = max 2 (event_target / (ranks * fanout))
 
 let evps events wall = float_of_int events /. wall
+
+let median xs = List.nth (List.sort Float.compare xs) (List.length xs / 2)
+
+(* [n] pairs [(a (), b ())], alternating which of the two runs first. *)
+let alternating_pairs n a b =
+  List.init n (fun i ->
+      if i mod 2 = 0 then
+        let x = a () in
+        (x, b ())
+      else
+        let y = b () in
+        (a (), y))
+
+(* Speedup pairs at the headline size: [n] pairs of one legacy and one
+   calendar run, alternating which engine goes first.  Host speed drifts
+   over seconds, so timing all runs of one engine before the other's
+   skews the ratio; within a pair the drift is small.  Returns the event
+   count, the median per-pair speedup, and each engine's median
+   events/sec and minor words/event. *)
+let speedup_pairs ~n ~ranks ~rounds =
+  let pairs =
+    alternating_pairs n
+      (fun () -> Legacy.run ~jitter:true ~ranks ~fanout ~rounds)
+      (fun () -> Calendar.run ~jitter:true ~ranks ~fanout ~rounds)
+  in
+  let events, _, _ = fst (List.hd pairs) in
+  List.iter
+    (fun ((le, _, _), (ce, _, _)) ->
+      if le <> events || ce <> events then
+        failwith
+          (Printf.sprintf "engine: legacy and calendar event counts diverged (%d vs %d)" le ce))
+    pairs;
+  let side f = median (List.map f pairs) in
+  ( events,
+    side (fun ((_, lw, _), (_, cw, _)) -> lw /. cw),
+    side (fun ((e, w, _), _) -> evps e w),
+    side (fun (_, (e, w, _)) -> evps e w),
+    side (fun ((_, _, a), _) -> a),
+    side (fun (_, (_, _, a)) -> a) )
 
 (* ---------------- gallery subset ---------------- *)
 
@@ -168,19 +208,14 @@ let run () =
   Printf.printf "synthetic halo exchange: %d lanes/rank, ~%d events per point\n\n" fanout
     event_target;
 
-  (* speedup at the headline size: median of 3 runs per engine *)
-  let rounds = rounds_for p_main in
-  let l_events, l_wall, l_wpe = Legacy.median ~n:3 ~ranks:p_main ~fanout ~rounds in
-  let c_events, c_wall, c_wpe = Calendar.median ~n:3 ~ranks:p_main ~fanout ~rounds in
-  if l_events <> c_events then
-    failwith
-      (Printf.sprintf "engine: legacy and calendar event counts diverged (%d vs %d)" l_events
-         c_events);
-  let l_evps = evps l_events l_wall and c_evps = evps c_events c_wall in
-  let speedup = c_evps /. l_evps in
-  Printf.printf "p=%d (%d events):\n" p_main c_events;
+  (* speedup at the headline size: median of the per-pair ratios *)
+  let n_pairs = 7 in
+  let c_events, speedup, l_evps, c_evps, l_wpe, c_wpe =
+    speedup_pairs ~n:n_pairs ~ranks:p_main ~rounds:(rounds_for p_main)
+  in
+  Printf.printf "p=%d (%d events, median of %d alternating pairs):\n" p_main c_events n_pairs;
   Printf.printf "  legacy   (binary heap): %10.0f events/s  %5.1f words/event\n" l_evps l_wpe;
-  Printf.printf "  calendar (this PR):     %10.0f events/s  %5.1f words/event\n" c_evps c_wpe;
+  Printf.printf "  calendar:               %10.0f events/s  %5.1f words/event\n" c_evps c_wpe;
   Printf.printf "  speedup: %.2fx\n\n" speedup;
 
   (* ranks scaling on the calendar engine *)
@@ -188,12 +223,30 @@ let run () =
   let scaling =
     List.map
       (fun p ->
-        let events, wall, _ = Calendar.run ~ranks:p ~fanout ~rounds:(rounds_for p) in
+        let events, wall, _ =
+          Calendar.run ~jitter:true ~ranks:p ~fanout ~rounds:(rounds_for p)
+        in
         let e = evps events wall in
         Printf.printf "  p=%-6d %10.0f events/s  (%d events, %.2fs)\n" p e events wall;
         (p, e, wall))
       sizes
   in
+  (* jitter-free points: pairs alternate which run goes first, as for
+     the speedup; reported events/sec and wall are the medians *)
+  let tie_pairs = 3 in
+  let ties =
+    List.map
+      (fun p ->
+        let run jitter () = Calendar.run ~jitter ~ranks:p ~fanout ~rounds:(rounds_for p) in
+        let pairs = alternating_pairs tie_pairs (run true) (run false) in
+        let ratio = median (List.map (fun ((_, jw, _), (_, tw, _)) -> jw /. tw) pairs) in
+        let e = median (List.map (fun (_, (ev, w, _)) -> evps ev w) pairs) in
+        let wall = median (List.map (fun (_, (_, w, _)) -> w) pairs) in
+        Printf.printf "  p=%-6d %10.0f events/s  jitter-free, %.2fx of jittered\n" p e ratio;
+        (p, e, wall, ratio))
+      [ 1024; 4096; 16384 ]
+  in
+  let ties_within_2x = List.for_all (fun (_, _, _, ratio) -> ratio >= 0.5) ties in
   let best = List.fold_left (fun a (_, e, _) -> Float.max a e) 0.0 scaling in
   let worst = List.fold_left (fun a (_, e, _) -> Float.min a e) infinity scaling in
   let scaling_flat = worst >= 0.25 *. best in
@@ -234,6 +287,7 @@ let run () =
       ("speedup_ge_5x", speedup >= 5.0);
       ("calendar_evps_floor", c_evps >= evps_floor);
       ("scaling_flat_within_4x", scaling_flat);
+      ("ties_within_2x_of_jittered", ties_within_2x);
       ("p16384_in_budget", p16384_wall <= p16384_budget_s);
       ("zero_alloc_steady_state", c_wpe <= words_per_event_budget);
       ("profiler_pure_observer", pure_observer);
@@ -255,6 +309,8 @@ let run () =
               ("legacy_events_per_s", J.Num l_evps);
               ("calendar_events_per_s", J.Num c_evps);
               ("speedup", J.Num speedup);
+              ("speedup_pairs", J.Num (float_of_int n_pairs));
+              ("tie_pairs", J.Num (float_of_int tie_pairs));
               ("legacy_minor_words_per_event", J.Num l_wpe);
               ("calendar_minor_words_per_event", J.Num c_wpe);
             ] );
@@ -269,6 +325,18 @@ let run () =
                      ("wall_s", J.Num w);
                    ])
                scaling) );
+        ( "ties",
+          J.List
+            (List.map
+               (fun (p, e, w, ratio) ->
+                 J.Obj
+                   [
+                     ("ranks", J.Num (float_of_int p));
+                     ("events_per_s", J.Num e);
+                     ("wall_s", J.Num w);
+                     ("ratio_to_jittered", J.Num ratio);
+                   ])
+               ties) );
         ( "gallery",
           J.Obj
             [

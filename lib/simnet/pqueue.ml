@@ -5,7 +5,8 @@
    order.  A calendar queue exploits this: events hash into time-width
    buckets, a push appends to its bucket in O(1), and a pop scans forward
    from the clock's bucket, usually finding the minimum within a step or
-   two — no O(log n) sift, no per-entry heap record.
+   two — no O(log n) sift, no per-entry heap record outside the rare
+   overflowing bucket.
 
    Exactness.  Naive calendar queues compare entry times against
    floating-point bucket boundaries, which can misfile an entry whose
@@ -20,9 +21,9 @@
    entry was filed under and is bit-identical to it.  [vi] is monotone
    in [time] (division by a positive width and truncation both preserve
    order, and every [vi] comes from the same expression), equal times
-   yield equal [vi], and equal [vi] means the same bucket.  Buckets are
-   unsorted; a pop takes the (time, seq)-argmin of the first bucket
-   whose minimum is due.  That entry is the global minimum: all
+   yield equal [vi], and equal [vi] means the same bucket.  A pop takes
+   the (time, seq)-argmin of the first bucket whose minimum is due.
+   That entry is the global minimum: all
    remaining entries satisfy [vi >= scan position] (push enforces
    [time >= last popped]), every entry with the scan position's [vi]
    lives in the scanned bucket, and any entry with a larger [vi] has a
@@ -37,10 +38,30 @@
    A probe therefore touches a handful of flat-array cache lines and
    never chases a per-bucket record or per-bucket array headers.  The
    resize policy keeps mean occupancy at or below two entries per
-   bucket, so the rare bucket that overflows its inline slots spills
-   into a private growable side bag ([spill]); spill entries keep the
-   inline slots full, so the common probe path never looks at the spill
-   of a bucket holding at most [slot_cap] entries.
+   bucket, so the bucket that overflows its inline slots is the
+   exception; it spills into a growable side heap ([spill]).  Spill
+   entries keep the inline slots full, so the common probe path never
+   looks at the spill of a bucket holding at most [slot_cap] entries.
+
+   Ties.  A bulk-synchronous program puts p events on one timestamp
+   every round, and all of them land in one bucket, however the width
+   is chosen.  Three rules keep that regime cheap:
+   - a spill is a binary min-heap on [(time, key)], so a bucket's
+     minimum is the argmin of its <= [slot_cap] inline slots and the
+     spill's root — O(1) to find, O(log p) to remove, never a scan
+     over the spill.  An inline hole refills from the spill's last
+     leaf, which leaves the heap valid.  Seqs are monotone, so a tie
+     run arrives in heap order and a push does not sift; a pop sifts
+     bottom-up, and the sift moves no closure (see [spill]);
+   - a spill that empties (popped dry, or drained by [rebucket]) goes
+     back to a spare stack and is reused by the next bucket that
+     overflows, so a tie run that moves to a new bucket every round
+     does not regrow a fresh spill in the major heap every round;
+   - the width estimate in [rebucket] counts the tie run at the
+     minimum time once: p ties are one timestamp, not p gaps of zero,
+     and counting them p times collapses the width until the next
+     round's cluster falls outside the calendar's year and every pop
+     pays a direct search.
 
    The packed key is [(seq lsl owner_bits) lor (owner + 1)].  Seqs are
    unique (the engine's monotone counter), so comparing keys compares
@@ -59,9 +80,11 @@
    [b * slot_cap + i] with [i] bounded by [blens.(b) <= slot_cap], spill
    indices are bounded by [s_len] — all in range by construction — and
    the whole protocol is differentially tested against the
-   bounds-checked binary heap.  Cold paths (rebucket, growth, spills)
-   stay bounds-checked.  A push/pop steady state allocates nothing —
-   measured at 0.0 minor-heap words/event by the engine bench.
+   bounds-checked binary heap.  Cold paths (rebucket, growth) stay
+   bounds-checked.  A push/pop steady state allocates nothing —
+   measured at 0.0 minor-heap words/event by the engine bench — and
+   [rebucket] copies through scratch arrays the queue keeps, so a
+   same-size rebucket allocates nothing either.
 
    Invariant.  Push times must be >= the time of the last popped entry
    (the simulation clock); the engine guarantees this (delays are
@@ -82,18 +105,30 @@ let owner_bits = 21
 let owner_mask = (1 lsl owner_bits) - 1
 let max_seq = 1 lsl 42
 
-(* Overflow side bag of a single bucket; unsorted, swap-removed, kept
-   only while the bucket holds more than [slot_cap] entries. *)
+(* Overflow side heap of a single bucket: a binary min-heap on
+   [(time, key)] over [0, s_len), attached only while the bucket holds
+   more than [slot_cap] entries and returned to the spare stack when it
+   empties.  The closures stay put: entry [i]'s event lives at
+   [s_fns.(s_slots.(i))], and a sift moves only the unboxed
+   time/key/slot triples — a closure store is a [caml_modify] write
+   barrier, and a pop from a tie run would otherwise pay one per heap
+   level.  [s_slots] is a permutation of the slots: past [s_len] it
+   holds the free ones, so a push takes the slot at [s_len] and a pop
+   leaves its slot at the vacated last position. *)
 type spill = {
   mutable s_times : float array;
   mutable s_ints : int array; (* packed seq/owner keys *)
-  mutable s_fns : event array;
+  mutable s_slots : int array;
+  mutable s_fns : event array; (* indexed by slot *)
   mutable s_len : int;
 }
 
+let new_spill () = { s_times = [||]; s_ints = [||]; s_slots = [||]; s_fns = [||]; s_len = 0 }
+
 type t = {
   (* flat calendar: bucket [b]'s inline entry [i] lives at flat index
-     [b * slot_cap + i] in [times]/[ints]/[fns] *)
+     [b * slot_cap + i] in [times]/[ints]/[fns]; the arrays may be
+     longer than the [mask + 1] buckets in use *)
   mutable times : float array;
   mutable ints : int array; (* packed seq/owner keys *)
   mutable fns : event array;
@@ -103,8 +138,16 @@ type t = {
      are not counted here: spill nonempty implies the inline slots are
      full, so a count below [slot_cap] also proves the spill is empty,
      and spill adds/removes never touch the byte. *)
-  mutable spills : spill array; (* [sentinel] when the bucket never spilled *)
+  mutable spills : spill array; (* [sentinel] while the bucket's spill is empty *)
   sentinel : spill;
+  (* emptied spills, kept with their capacity for the next overflow *)
+  mutable spares : spill array;
+  mutable n_spares : int;
+  (* rebucket's copy of the entries, kept so a rebucket allocates only
+     when the queue outgrows every earlier rebucket *)
+  mutable r_times : float array;
+  mutable r_keys : int array;
+  mutable r_fns : event array;
   mutable mask : int; (* bucket count - 1; count is a power of two *)
   mutable width : float; (* bucket time width *)
   mutable inv_width : float; (* 1.0 /. width, cached for the hot path *)
@@ -122,7 +165,7 @@ type t = {
   mutable pop_acc : int;
   (* scratch for the allocation-free pop protocol *)
   mutable hit_b : int; (* bucket where find_min left the minimum *)
-  mutable hit_i : int; (* < slot_cap: inline slot; else spill index + slot_cap *)
+  mutable hit_i : int; (* < slot_cap: inline slot; slot_cap: the spill root *)
   out_time : float array;
   mutable out_key : int;
   mutable out_fn : event;
@@ -130,13 +173,14 @@ type t = {
      travels here instead of as a function argument, because a float
      crossing a (non-inlined) call boundary is boxed *)
   in_time : float array;
+  sift_time : float array; (* the spill entry a sift-down is placing *)
 }
 
 let min_buckets = 16
 let max_buckets = 1 lsl 18
 
 let create () =
-  let sentinel = { s_times = [||]; s_ints = [||]; s_fns = [||]; s_len = 0 } in
+  let sentinel = new_spill () in
   {
     times = Array.make (min_buckets * slot_cap) 0.0;
     ints = Array.make (min_buckets * slot_cap) 0;
@@ -144,6 +188,11 @@ let create () =
     blens = Bytes.make min_buckets '\000';
     spills = Array.make min_buckets sentinel;
     sentinel;
+    spares = Array.make min_buckets sentinel;
+    n_spares = 0;
+    r_times = [||];
+    r_keys = [||];
+    r_fns = [||];
     mask = min_buckets - 1;
     width = 1.0e-6 (* network-latency scale: the engine's typical event gap *);
     inv_width = 1.0e6;
@@ -161,6 +210,7 @@ let create () =
     out_key = 0;
     out_fn = nop;
     in_time = [| 0.0 |];
+    sift_time = [| 0.0 |];
   }
 
 let length q = q.len
@@ -170,18 +220,122 @@ let stats q = (q.peak, q.resizes, q.searches)
 (* ------------------------------------------------------------------ *)
 (* Bucket primitives                                                   *)
 
+(* Double a full spill; the new slots [cap, cap') join the free ones. *)
 let spill_grow s =
   let cap = Array.length s.s_times in
   let cap' = if cap = 0 then 4 else 2 * cap in
   let times = Array.make cap' 0.0 in
   let ints = Array.make cap' 0 in
+  let slots = Array.init cap' Fun.id in
   let fns = Array.make cap' nop in
-  Array.blit s.s_times 0 times 0 s.s_len;
-  Array.blit s.s_ints 0 ints 0 s.s_len;
-  Array.blit s.s_fns 0 fns 0 s.s_len;
+  Array.blit s.s_times 0 times 0 cap;
+  Array.blit s.s_ints 0 ints 0 cap;
+  Array.blit s.s_slots 0 slots 0 cap;
+  Array.blit s.s_fns 0 fns 0 cap;
   s.s_times <- times;
   s.s_ints <- ints;
+  s.s_slots <- slots;
   s.s_fns <- fns
+
+(* A spill for bucket [b]: its own if attached, else a spare, else a new
+   one. *)
+let spill_for q b =
+  let s = Array.unsafe_get q.spills b in
+  if s != q.sentinel then s
+  else begin
+    let s =
+      if q.n_spares > 0 then begin
+        q.n_spares <- q.n_spares - 1;
+        let s = q.spares.(q.n_spares) in
+        q.spares.(q.n_spares) <- q.sentinel;
+        s
+      end
+      else new_spill ()
+    in
+    q.spills.(b) <- s;
+    s
+  end
+
+(* Return an emptied spill to the spare stack, keeping its capacity.
+   The stack only grows when more spills are empty at once than ever
+   before, so the pop path reaches the growth branch at most O(log n)
+   times. *)
+let spill_release q s =
+  if q.n_spares = Array.length q.spares then begin
+    let a = Array.make (2 * q.n_spares) q.sentinel in
+    Array.blit q.spares 0 a 0 q.n_spares;
+    q.spares <- a
+  end;
+  q.spares.(q.n_spares) <- s;
+  q.n_spares <- q.n_spares + 1
+
+(* Store the entry whose time is in [cell.(0)] at heap position [k] of
+   spill [s] or above: the hole walks up while its parent is larger. *)
+let spill_sift_up s cell k ~key ~slot =
+  let k = ref k in
+  let continue = ref true in
+  while !continue && !k > 0 do
+    let p = (!k - 1) / 2 in
+    if
+      Array.unsafe_get cell 0 < Array.unsafe_get s.s_times p
+      || (Array.unsafe_get cell 0 = Array.unsafe_get s.s_times p
+          && key < Array.unsafe_get s.s_ints p)
+    then begin
+      Array.unsafe_set s.s_times !k (Array.unsafe_get s.s_times p);
+      Array.unsafe_set s.s_ints !k (Array.unsafe_get s.s_ints p);
+      Array.unsafe_set s.s_slots !k (Array.unsafe_get s.s_slots p);
+      k := p
+    end
+    else continue := false
+  done;
+  Array.unsafe_set s.s_times !k (Array.unsafe_get cell 0);
+  Array.unsafe_set s.s_ints !k key;
+  Array.unsafe_set s.s_slots !k slot
+
+(* Insert into spill [s]; the entry time is in [q.in_time.(0)]. *)
+let spill_push q s ~key fn =
+  if s.s_len = Array.length s.s_times then spill_grow s;
+  let slot = Array.unsafe_get s.s_slots s.s_len in
+  Array.unsafe_set s.s_fns slot fn;
+  spill_sift_up s q.in_time s.s_len ~key ~slot;
+  s.s_len <- s.s_len + 1
+
+(* Remove the root of the nonempty spill [s], bottom-up (Floyd): the
+   hole walks down to a leaf along the smaller children, one compare
+   per level, and the last leaf (its time in [q.sift_time]) sifts up
+   from there.  The last leaf came from the bottom, so it rarely climbs,
+   and the pop takes about half the compares of a top-down sift. *)
+let spill_pop_root q s =
+  let l = s.s_len - 1 in
+  s.s_len <- l;
+  let root = Array.unsafe_get s.s_slots 0 in
+  Array.unsafe_set s.s_fns root nop;
+  Array.unsafe_set q.sift_time 0 (Array.unsafe_get s.s_times l);
+  let key = Array.unsafe_get s.s_ints l in
+  let slot = Array.unsafe_get s.s_slots l in
+  Array.unsafe_set s.s_slots l root;
+  if l > 0 then begin
+    let k = ref 0 in
+    let c = ref 1 in
+    while !c < l do
+      let a = !c in
+      let a =
+        if
+          a + 1 < l
+          && (Array.unsafe_get s.s_times (a + 1) < Array.unsafe_get s.s_times a
+             || (Array.unsafe_get s.s_times (a + 1) = Array.unsafe_get s.s_times a
+                 && Array.unsafe_get s.s_ints (a + 1) < Array.unsafe_get s.s_ints a))
+        then a + 1
+        else a
+      in
+      Array.unsafe_set s.s_times !k (Array.unsafe_get s.s_times a);
+      Array.unsafe_set s.s_ints !k (Array.unsafe_get s.s_ints a);
+      Array.unsafe_set s.s_slots !k (Array.unsafe_get s.s_slots a);
+      k := a;
+      c := (2 * a) + 1
+    done;
+    spill_sift_up s q.sift_time !k ~key ~slot
+  end
 
 (* Append to bucket [b]; the entry time is in [q.in_time.(0)] (see the
    zero-alloc note).  Inline slots fill first; only an already-full
@@ -195,29 +349,10 @@ let bucket_add q b ~key fn =
     Array.unsafe_set q.fns f fn;
     Bytes.unsafe_set q.blens b (Char.unsafe_chr (inl + 1))
   end
-  else begin
-    let s0 = q.spills.(b) in
-    let s =
-      if s0 != q.sentinel then s0
-      else begin
-        let s =
-          { s_times = Array.make 4 0.0; s_ints = Array.make 4 0;
-            s_fns = Array.make 4 nop; s_len = 0 }
-        in
-        q.spills.(b) <- s;
-        s
-      end
-    in
-    if s.s_len = Array.length s.s_times then spill_grow s;
-    let k = s.s_len in
-    s.s_times.(k) <- q.in_time.(0);
-    s.s_ints.(k) <- key;
-    s.s_fns.(k) <- fn;
-    s.s_len <- k + 1
-  end
+  else spill_push q (spill_for q b) ~key fn
 
 (* (time, seq)-minimum of bucket [b], encoded as an inline slot
-   (< slot_cap) or a spill index (+ slot_cap); [q.blens.(b) > 0].
+   (< slot_cap) or the spill root ([slot_cap]); [q.blens.(b) > 0].
    Top-level and loop-based: the pop path must not allocate. *)
 let bucket_min q b =
   let inl = Char.code (Bytes.unsafe_get q.blens b) in
@@ -234,30 +369,26 @@ let bucket_min q b =
   if inl < slot_cap then !bf - base
   else begin
     (* full inline slots: the spill may hold more ([sentinel] has
-       [s_len = 0], so it falls through harmlessly) *)
-    let s = q.spills.(b) in
-    if s.s_len = 0 then !bf - base
-    else begin
-      let sk = ref 0 in
-      for k = 1 to s.s_len - 1 do
-        let j = !sk in
-        if
-          s.s_times.(k) < s.s_times.(j)
-          || (s.s_times.(k) = s.s_times.(j) && s.s_ints.(k) < s.s_ints.(j))
-        then sk := k
-      done;
-      let f = !bf and k = !sk in
-      if
-        s.s_times.(k) < q.times.(f)
-        || (s.s_times.(k) = q.times.(f) && s.s_ints.(k) < q.ints.(f))
-      then slot_cap + k
-      else f - base
-    end
+       [s_len = 0], so it falls through harmlessly); its root is its
+       minimum *)
+    let s = Array.unsafe_get q.spills b in
+    let f = !bf in
+    if
+      s.s_len > 0
+      && (Array.unsafe_get s.s_times 0 < Array.unsafe_get q.times f
+         || (Array.unsafe_get s.s_times 0 = Array.unsafe_get q.times f
+             && Array.unsafe_get s.s_ints 0 < Array.unsafe_get q.ints f))
+    then slot_cap
+    else f - base
   end
 
-(* Accessors over the encoded entry index (rare paths may branch). *)
+(* Accessors over the encoded entry index (rare paths may branch;
+   [entry_time] boxes its result, so it stays off the pop path). *)
+let entry_time q b e =
+  if e < slot_cap then q.times.((b * slot_cap) + e) else q.spills.(b).s_times.(0)
+
 let entry_key q b e =
-  if e < slot_cap then q.ints.((b * slot_cap) + e) else q.spills.(b).s_ints.(e - slot_cap)
+  if e < slot_cap then q.ints.((b * slot_cap) + e) else q.spills.(b).s_ints.(0)
 
 (* Is the encoded entry due at scan position [vi]?  The virtual index is
    recomputed from the stored time by the exact expression push filed
@@ -272,27 +403,36 @@ let entry_due q b e vi =
       *. q.inv_width)
     <= vi
   else
-    int_of_float ((q.spills.(b).s_times.(e - slot_cap) -. q.origin.(0)) *. q.inv_width) <= vi
+    int_of_float ((q.spills.(b).s_times.(0) -. q.origin.(0)) *. q.inv_width) <= vi
 
-(* Remove the encoded entry, filling the hole from the bucket's last
-   entry.  An inline hole refills from the spill first, so spill entries
-   exist only while the inline slots are full — the common probe path of
-   a <= slot_cap bucket never reads its spill. *)
+(* Detach bucket [b]'s spill [s] once it is empty. *)
+let spill_check_empty q b s =
+  if s.s_len = 0 then begin
+    q.spills.(b) <- q.sentinel;
+    spill_release q s
+  end
+
+(* Remove the encoded entry.  An inline hole refills from the spill's
+   last leaf (which leaves the heap valid), so spill entries exist only
+   while the inline slots are full — the common probe path of a
+   <= slot_cap bucket never reads its spill.  Without a spill, the hole
+   refills from the bucket's last inline entry. *)
 let bucket_remove q b e =
   let inl = Char.code (Bytes.unsafe_get q.blens b) in
   if e < slot_cap then begin
     let f = (b * slot_cap) + e in
-    let s = if inl = slot_cap then q.spills.(b) else q.sentinel in
+    let s = if inl = slot_cap then Array.unsafe_get q.spills b else q.sentinel in
     if s.s_len > 0 then begin
-      (* refill the inline hole from the spill so spill entries only
-         exist while the inline slots are full; the byte is unchanged *)
+      (* the byte is unchanged *)
       let k = s.s_len - 1 in
-      q.times.(f) <- s.s_times.(k);
-      q.ints.(f) <- s.s_ints.(k);
-      q.fns.(f) <- s.s_fns.(k);
-      s.s_fns.(k) <- nop;
-      (* drop the closure reference *)
-      s.s_len <- k
+      let slot = Array.unsafe_get s.s_slots k in
+      Array.unsafe_set q.times f (Array.unsafe_get s.s_times k);
+      Array.unsafe_set q.ints f (Array.unsafe_get s.s_ints k);
+      Array.unsafe_set q.fns f (Array.unsafe_get s.s_fns slot);
+      Array.unsafe_set s.s_fns slot nop;
+      (* drop the closure reference; the slot stays at [k], now free *)
+      s.s_len <- k;
+      spill_check_empty q b s
     end
     else begin
       let l = (b * slot_cap) + inl - 1 in
@@ -304,33 +444,36 @@ let bucket_remove q b e =
     end
   end
   else begin
-    let s = q.spills.(b) in
-    let k = e - slot_cap in
-    let l = s.s_len - 1 in
-    s.s_times.(k) <- s.s_times.(l);
-    s.s_ints.(k) <- s.s_ints.(l);
-    s.s_fns.(k) <- s.s_fns.(l);
-    s.s_fns.(l) <- nop;
-    s.s_len <- l
+    let s = Array.unsafe_get q.spills b in
+    spill_pop_root q s;
+    spill_check_empty q b s
   end
 
 (* ------------------------------------------------------------------ *)
 (* Resizing                                                            *)
 
 (* Rebuild with [n] buckets and a width estimated from the current
-   contents: twice the mean gap in the near-future window the dequeue
-   scan is about to traverse.  The window is found with two unboxed
-   passes (min/max, then a count near the minimum) — no sort, no boxed
-   compares, so a rebucket costs O(len) flat.  Degenerate spreads (all
-   ties, or a single entry) keep the previous width.  A width estimated
-   too small is self-correcting (long dequeue scans trip the maintenance
-   rebucket in [pop]); the near-head window guards against the
-   non-self-correcting direction, a width too wide for a dense region. *)
+   contents: twice the mean gap between the distinct times in the
+   near-future window the dequeue scan is about to traverse.  The window
+   is found with two unboxed passes (min/max, then a count near the
+   minimum) — no sort, no boxed compares, so a rebucket costs O(len)
+   flat.  The count takes the entries at the minimum time once: a
+   lockstep tie run there is one timestamp, and counting each tie as a
+   gap would shrink the width by the run's length.  Degenerate spreads
+   (all ties, or a single entry) keep the previous width.  A width
+   estimated too small is self-correcting (long dequeue scans trip the
+   maintenance rebucket in [pop]); the near-head window guards against
+   the non-self-correcting direction, a width too wide for a dense
+   region. *)
 let rebucket q n =
   let len = q.len in
-  let times = Array.make (max 1 len) 0.0 in
-  let keys = Array.make (max 1 len) 0 in
-  let fns = Array.make (max 1 len) nop in
+  if Array.length q.r_times < len then begin
+    let cap = max len (2 * Array.length q.r_times) in
+    q.r_times <- Array.make cap 0.0;
+    q.r_keys <- Array.make cap 0;
+    q.r_fns <- Array.make cap nop
+  end;
+  let times = q.r_times and keys = q.r_keys and fns = q.r_fns in
   let k = ref 0 in
   let old_n = q.mask + 1 in
   for b = 0 to old_n - 1 do
@@ -343,18 +486,18 @@ let rebucket q n =
         fns.(!k) <- q.fns.(base + i);
         incr k
       done;
-      if inl = slot_cap then begin
-        let s = q.spills.(b) in
+      let s = q.spills.(b) in
+      if s != q.sentinel then begin
         for i = 0 to s.s_len - 1 do
           times.(!k) <- s.s_times.(i);
           keys.(!k) <- s.s_ints.(i);
-          fns.(!k) <- s.s_fns.(i);
+          fns.(!k) <- s.s_fns.(s.s_slots.(i));
           incr k
         done;
-        if s.s_len > 0 then begin
-          Array.fill s.s_fns 0 (Array.length s.s_fns) nop;
-          s.s_len <- 0
-        end
+        Array.fill s.s_fns 0 (Array.length s.s_fns) nop;
+        s.s_len <- 0;
+        q.spills.(b) <- q.sentinel;
+        spill_release q s
       end
     end
   done;
@@ -366,14 +509,15 @@ let rebucket q n =
      done;
      let span = !tmax -. !tmin in
      if span > 0.0 then begin
-       (* near-head density: count entries in a window sized to hold ~256
-          of them if the spread were uniform, then take the mean gap
-          actually observed there *)
+       (* near-head density: a window sized to hold ~256 entries if the
+          spread were uniform, then the mean gap between the distinct
+          times observed there — the minimum time once, plus every
+          entry strictly after it *)
        let window = span *. Float.min 1.0 (256.0 /. float_of_int len) in
        let limit = !tmin +. window in
-       let c = ref 0 in
+       let c = ref 1 in
        for i = 0 to len - 1 do
-         if times.(i) <= limit then incr c
+         if times.(i) > !tmin && times.(i) <= limit then incr c
        done;
        let w = 2.0 *. window /. float_of_int (max 2 !c) in
        if w > 0.0 then begin
@@ -382,7 +526,9 @@ let rebucket q n =
        end
      end
    end);
-  if old_n <> n then begin
+  (* the table only ever grows: a halving keeps the arrays and uses their
+     prefix, so a queue that drains and refills reallocates nothing *)
+  if Bytes.length q.blens < n then begin
     q.times <- Array.make (n * slot_cap) 0.0;
     q.ints <- Array.make (n * slot_cap) 0;
     q.fns <- Array.make (n * slot_cap) nop;
@@ -390,7 +536,7 @@ let rebucket q n =
     q.spills <- Array.make n q.sentinel
   end
   else begin
-    Array.fill q.fns 0 (n * slot_cap) nop;
+    Array.fill q.fns 0 (old_n * slot_cap) nop;
     Bytes.fill q.blens 0 n '\000'
   end;
   q.mask <- n - 1;
@@ -403,7 +549,9 @@ let rebucket q n =
     q.in_time.(0) <- times.(i);
     let vi = int_of_float ((q.in_time.(0) -. q.origin.(0)) *. q.inv_width) in
     bucket_add q (vi land q.mask) ~key:keys.(i) fns.(i)
-  done
+  done;
+  (* drop the closure references the scratch copy holds *)
+  Array.fill fns 0 len nop
 
 (* ------------------------------------------------------------------ *)
 (* Push                                                                *)
@@ -457,10 +605,7 @@ let direct_search q n =
         be := m
       end
       else begin
-        let tb = if m < slot_cap then q.times.((b * slot_cap) + m)
-                 else q.spills.(b).s_times.(m - slot_cap)
-        and tc = if !be < slot_cap then q.times.((!bb * slot_cap) + !be)
-                 else q.spills.(!bb).s_times.(!be - slot_cap) in
+        let tb = entry_time q b m and tc = entry_time q !bb !be in
         if tb < tc || (tb = tc && entry_key q b m < entry_key q !bb !be) then begin
           bb := b;
           be := m
@@ -520,11 +665,11 @@ let pop q =
        q.out_fn <- Array.unsafe_get q.fns f
      end
      else begin
-       let s = q.spills.(b) in
-       let k = e - slot_cap in
-       q.out_time.(0) <- s.s_times.(k);
-       q.out_key <- s.s_ints.(k);
-       q.out_fn <- s.s_fns.(k)
+       (* the spill root *)
+       let s = Array.unsafe_get q.spills b in
+       Array.unsafe_set q.out_time 0 (Array.unsafe_get s.s_times 0);
+       q.out_key <- Array.unsafe_get s.s_ints 0;
+       q.out_fn <- Array.unsafe_get s.s_fns (Array.unsafe_get s.s_slots 0)
      end);
     bucket_remove q b e;
     q.last.(0) <- q.out_time.(0);
@@ -570,6 +715,5 @@ let peek_time q =
   else begin
     find_min q;
     let b = q.hit_b and e = q.hit_i in
-    if e < slot_cap then Some q.times.((b * slot_cap) + e)
-    else Some q.spills.(b).s_times.(e - slot_cap)
+    Some (entry_time q b e)
   end

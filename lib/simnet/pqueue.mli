@@ -15,6 +15,14 @@
     integers during the dequeue scan — no entry time is ever compared
     against a computed bucket boundary (see the implementation header).
 
+    Ties, the lockstep regime of bulk-synchronous programs (p events on
+    one timestamp every round), stay cheap too.  A bucket that overflows
+    its inline slots spills into a binary min-heap on [(time, seq)], so
+    a pop from a run of p ties costs O(log p), not O(p).  An emptied
+    spill is kept and reused by the next overflowing bucket instead of
+    being reallocated.  The bucket width is estimated from the distinct
+    times near the head, counting a tie run at the minimum time once.
+
     Invariant: pushed times must be [>= ] the last popped time (the
     simulation clock).  The engine guarantees this by construction;
     violations raise [Invalid_argument]. *)

@@ -4,7 +4,8 @@
    (Simnet.Pqueue) that must preserve the EXACT (time, seq) total order —
    any divergence silently changes every simulated schedule in the repo.
    These tests pin that equivalence differentially against the frozen
-   pre-refactor heap (Simnet.Binheap), stress the calendar's resize
+   pre-refactor heap (Simnet.Binheap), also under mass ties and chooser
+   re-pushes, pin the lockstep tie regime, stress the calendar's resize
    machinery, check the host profiler is a pure observer at every level,
    exercise the engine at 1k-8k ranks, assert the zero-alloc steady
    state, and pin the fiber-table pruning bound. *)
@@ -68,6 +69,149 @@ let prop_differential =
         pop_both ()
       done;
       Binheap.is_empty heap && !log_cal = !log_heap)
+
+(* Adversarial scripts for the tie regime of bulk-synchronous programs,
+   where p events share one timestamp every round.  [Burst (n, k, gap)]
+   pushes [n] entries round-robin over the [k] distinct times
+   [clock + j * gap], latest first, so a gap below the bucket width puts
+   out-of-order ties into one bucket; [Drain n] pops up to [n];
+   [Chosen pick] does what [Engine.exec_chosen] does: pop the whole
+   same-time ready set, then re-push all of it but the [pick mod n]-th
+   entry with the original seqs and owners.  Each trial draws one of
+   three cases: all-equal times, mass-tie bursts of 1,000-3,000 pushes on
+   at most 3 distinct times, and chooser re-pushes.  Each event records
+   its seq when run, so a pop that returns the right key with another
+   entry's event fails too. *)
+type aop = Burst of int * int * float | Drain of int | Chosen of int
+
+let adversarial_gen =
+  QCheck2.Gen.(
+    let all_equal =
+      list_size (int_range 1 20)
+        (frequency
+           [
+             (3, map (fun n -> Burst (n, 1, 0.0)) (int_range 1 500));
+             (2, map (fun n -> Drain n) (int_range 1 500));
+             (2, map (fun pick -> Chosen pick) nat);
+           ])
+    in
+    let gap = oneofl [ 1e-9; 1e-6 ] in
+    let mass_tie =
+      list_size (int_range 1 6)
+        (frequency
+           [
+             (1, map3 (fun n k g -> Burst (n, k, g)) (int_range 1000 3000) (int_range 1 3) gap);
+             (1, map (fun n -> Drain n) (int_range 1 3000));
+           ])
+    in
+    let repush =
+      list_size (int_range 1 30)
+        (frequency
+           [
+             (2, map3 (fun n k g -> Burst (n, k, g)) (int_range 1 300) (int_range 1 3) gap);
+             (1, map (fun n -> Drain n) (int_range 1 300));
+             (3, map (fun pick -> Chosen pick) nat);
+           ])
+    in
+    oneof [ all_equal; mass_tie; repush ])
+
+let prop_adversarial =
+  Tutil.qtest ~count:300 "calendar queue = binary heap under ties and re-pushes"
+    adversarial_gen (fun ops ->
+      let cal = Pqueue.create () in
+      let heap : int Binheap.t = Binheap.create () in
+      let clock = ref 0.0 and seq = ref 0 and agree = ref true and fired = ref 0 in
+      let push time s owner =
+        Pqueue.push cal ~time ~seq:s ~owner (fun () -> fired := s);
+        Binheap.push heap ~time ~seq:s owner
+      in
+      (* pops both queues; [None] once both are empty *)
+      let pop () =
+        match (Pqueue.pop_min cal, Binheap.pop_min heap) with
+        | Some (t, s, o, event), Some (t', s', o') ->
+            event ();
+            if not (t = t' && s = s' && o = o' && !fired = s) then agree := false;
+            clock := t;
+            Some (t, s, o)
+        | None, None -> None
+        | _ ->
+            agree := false;
+            None
+      in
+      let rec drain n = if n > 0 && pop () <> None then drain (n - 1) in
+      let rec gather t acc =
+        let next = Pqueue.peek_time cal in
+        if next <> Binheap.peek_time heap then agree := false;
+        if next = Some t then
+          match pop () with Some e -> gather t (e :: acc) | None -> List.rev acc
+        else List.rev acc
+      in
+      List.iter
+        (function
+          | Burst (n, k, gap) ->
+              for i = 0 to n - 1 do
+                incr seq;
+                let j = k - 1 - (i mod k) in
+                push (!clock +. (float_of_int j *. gap)) !seq (!seq * 7919 land 1023)
+              done
+          | Drain n -> drain n
+          | Chosen pick -> (
+              match pop () with
+              | None -> ()
+              | Some ((t, _, _) as first) ->
+                  let ready = first :: gather t [] in
+                  let pick = pick mod List.length ready in
+                  List.iteri (fun i (t, s, o) -> if i <> pick then push t s o) ready))
+        ops;
+      drain max_int;
+      !agree && Pqueue.is_empty cal && Binheap.is_empty heap)
+
+(* ------------------------------------------------------------------ *)
+(* Lockstep regression pin.                                            *)
+(* ------------------------------------------------------------------ *)
+
+(* The lockstep regime as a queue-only script: p = 2048 owners keep two
+   time clusters in flight, 1e-6 apart.  Each round pops the current
+   cluster's p entries, and each pop pushes its owner's next entry 1e-6
+   past the cluster still in flight.  After 5 warm-up rounds, 40 measured
+   rounds must find every minimum by scanning the calendar (a collapsed
+   width pushes the next cluster outside the calendar's year, and every
+   pop then pays a direct search), and must allocate next to nothing
+   straight into the major heap (a tie run regrowing a fresh spill in
+   each new bucket does). *)
+let test_lockstep_pin () =
+  let p = 2048 and step = 1e-6 in
+  let q = Pqueue.create () in
+  let seq = ref 0 in
+  let push time owner =
+    incr seq;
+    Pqueue.push q ~time ~seq:!seq ~owner (fun () -> ())
+  in
+  for cluster = 0 to 1 do
+    for owner = 0 to p - 1 do
+      push (float_of_int cluster *. step) owner
+    done
+  done;
+  let round () =
+    for _ = 1 to p do
+      if not (Pqueue.pop q) then Alcotest.fail "queue ran dry";
+      push (Pqueue.popped_time q +. (2.0 *. step)) (Pqueue.popped_owner q)
+    done
+  in
+  for _ = 1 to 5 do
+    round ()
+  done;
+  let _, promoted0, major0 = Gc.counters () in
+  for _ = 1 to 40 do
+    round ()
+  done;
+  let _, promoted1, major1 = Gc.counters () in
+  let _, _, searches = Pqueue.stats q in
+  Alcotest.(check int) "direct searches" 0 searches;
+  let direct_major = major1 -. major0 -. (promoted1 -. promoted0) in
+  if direct_major > 16_384.0 then
+    Alcotest.failf "40 lockstep rounds allocated %.0f words directly in the major heap (want <= 16384)"
+      direct_major
 
 (* ------------------------------------------------------------------ *)
 (* Calendar resize/drain stress.                                       *)
@@ -281,6 +425,9 @@ let test_fiber_pruning () =
 let suite =
   [
     prop_differential;
+    prop_adversarial;
+    Alcotest.test_case "lockstep ties: no direct search, no major churn" `Quick
+      test_lockstep_pin;
     Alcotest.test_case "calendar resize/drain stress" `Quick test_resize_stress;
     Alcotest.test_case "profiler is a pure observer (all gallery)" `Slow
       test_profiler_pure_observer;
