@@ -28,5 +28,6 @@ let () =
       ("engine-scale", Test_engine_scale.suite);
       ("persist", Test_persist.suite);
       ("topology", Test_topology.suite);
+      ("netpin", Test_netpin.suite);
       ("boundary", Test_boundary.suite);
     ]
