@@ -130,10 +130,11 @@ test -s BENCH_apps.json
 # --trace 1 the benchmark checks observer purity (checker, recorder and
 # host profiler change no simulated result), the zero-overhead
 # differential against the plain-MPI variant and the closure of the
-# per-layer attribution, at p=2048 (lockstep) and p=256 (bfs_sparse).
+# per-layer attribution, at p=2048 (lockstep) and p=256 (sort_fig8,
+# bfs_sparse).
 # The output is echoed; the pass fails unless its result line (the last
 # line) says "correct": true.
-for workload in lockstep bfs_sparse; do
+for workload in lockstep sort_fig8 bfs_sparse; do
   python3 perfbench/run.py --workload "$workload" --seed 1 --seconds 25 --trace 1 |
     python3 -c 'import json, sys
 out = sys.stdin.read().splitlines()

@@ -336,7 +336,7 @@ let crossover_ok cases =
 
 let hier_sweep () =
   let fabric = hier_fabric () in
-  let net = Simnet.Netmodel.create_fabric fabric ~ranks:hier_ranks in
+  let net = Simnet.Netmodel.create fabric in
   let group = Array.init hier_ranks Fun.id in
   let by_coll =
     List.map

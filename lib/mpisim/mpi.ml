@@ -35,8 +35,9 @@ let with_run_collector f =
       finish ();
       raise e
 
-let run ?(net = Netmodel.default) ?node ?fabric ?(failures = []) ?(fail_at = []) ?trace ?hooks
-    ?deadline ~ranks f =
+let run ?(net = Netmodel.default) ?fabric ?(failures = []) ?(fail_at = []) ?trace ?hooks ?deadline
+    ~ranks f =
+  if ranks <= 0 then Errors.usage "Mpi.run: ranks %d must be positive" ranks;
   let tracing =
     match trace with Some b -> b | None -> Trace.Recorder.default_enabled ()
   in
@@ -47,18 +48,23 @@ let run ?(net = Netmodel.default) ?node ?fabric ?(failures = []) ?(fail_at = [])
      registered factory (env-driven activation, e.g. MPISIM_EXPLORE). *)
   let exhook = match hooks with Some _ -> hooks | None -> !Exhook.factory () in
   (* Topology: an explicit fabric wins; otherwise MPISIM_TOPOLOGY supplies
-     a spec (read per run, so tests can toggle it with putenv).  An unset
-     or empty variable keeps the flat/legacy model — the bit-identical
-     default. *)
+     a spec (read per run, so tests can toggle it with putenv) whose
+     inter-node tier is [net].  An unset or empty variable builds the flat
+     machine on [net]. *)
   let fabric =
     match fabric with
-    | Some _ -> fabric
+    | Some f ->
+        if Array.length f.Netmodel.f_node_of <> ranks then
+          invalid_arg
+            (Printf.sprintf "Mpi.run: fabric places %d ranks, run has %d"
+               (Array.length f.Netmodel.f_node_of) ranks);
+        f
     | None -> (
         match Sys.getenv_opt "MPISIM_TOPOLOGY" with
-        | None | Some "" -> None
-        | Some spec -> Some (Netmodel.fabric_of_spec ~ranks spec))
+        | None | Some "" -> Netmodel.flat net ~ranks
+        | Some spec -> Netmodel.fabric_of_spec ~inter:net ~ranks spec)
   in
-  let w = World.create ?node ?fabric ~trace:recorder ?exhook ~net_params:net ~size:ranks () in
+  let w = World.create ~trace:recorder ?exhook fabric in
   (match exhook with
   | Some h ->
       Engine.set_chooser w.World.engine

@@ -22,17 +22,18 @@ type 'a run_result = {
           feed it to {!Trace.Analysis.analyze} or {!Trace.Chrome.to_json} *)
 }
 
-(** [run ?net ?node ?failures ?trace ~ranks f] executes the SPMD program.
+(** [run ?net ?fabric ?failures ?trace ~ranks f] executes the SPMD program.
 
-    @param net network cost-model parameters (default {!Simnet.Netmodel.default})
-    @param node [(intra-node params, node size)] switches to the legacy
-    two-tier hierarchy (e.g. [(Simnet.Netmodel.intra_node, 8)])
-    @param fabric a general tiered fabric ({!Simnet.Netmodel.fabric});
-    takes precedence over [node].  When neither is given, the
-    [MPISIM_TOPOLOGY] environment variable (read per run; a
-    {!Simnet.Netmodel.fabric_of_spec} spec such as ["two:48"] or
-    ["fat:48:4:8"]) supplies one — unset or empty keeps the flat model,
-    replaying every pre-topology schedule bit-identically
+    The network is one {!Simnet.Netmodel.fabric}: [fabric] when given,
+    otherwise the one the [MPISIM_TOPOLOGY] environment variable names
+    (read per run; a {!Simnet.Netmodel.fabric_of_spec} spec such as
+    ["two:48"] or ["fat:48:4:8"], with [net] as its inter-node tier),
+    otherwise the flat machine {!Simnet.Netmodel.flat} on [net].
+
+    @param net network cost-model parameters (default
+    {!Simnet.Netmodel.default}); unused when [fabric] is given
+    @param fabric the network description; it must place exactly [ranks]
+    ranks
     @param failures [(time, world_rank)] process failures to inject
     @param fail_at [(world_rank, time)] deterministic time-based failure
     schedule, armed via {!Ulfm.schedule_failures} (validated up front;
@@ -49,13 +50,14 @@ type 'a run_result = {
     {!Simnet.Engine.Limit_exceeded} once the clock passes this many
     simulated seconds (default: none) — turns livelocks into diagnosable
     failures
+    @raise Invalid_argument if [fabric] places a different number of ranks
+    or is inconsistent (see {!Simnet.Netmodel.create})
     @raise Simnet.Engine.Deadlock if the program hangs and the checker level
     is below [Heavy]; at [Heavy] and above the run instead terminates
     normally with a structured {!Checker.Deadlock_cycle} diagnostic (hung
     ranks report [Rank_died] in [results]) *)
 val run :
   ?net:Simnet.Netmodel.params ->
-  ?node:Simnet.Netmodel.params * int ->
   ?fabric:Simnet.Netmodel.fabric ->
   ?failures:(float * int) list ->
   ?fail_at:(int * float) list ->

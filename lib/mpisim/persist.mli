@@ -71,10 +71,6 @@ val starts : t -> int
 val is_active : t -> bool
 val is_freed : t -> bool
 
-(** [set_on_free h f] registers a hook run once when the handle is freed
-    (checker bookkeeping). *)
-val set_on_free : t -> (unit -> unit) -> unit
-
 (** [start h] arms an inactive handle (MPI_Start). *)
 val start : t -> unit
 

@@ -32,17 +32,11 @@ and agree_cell = {
   mutable agree_waiters : int Engine.resumer list;
 }
 
-let create ?node ?fabric ?(trace = Trace.Recorder.inert) ?exhook ~net_params ~size () =
-  if size <= 0 then Errors.usage "World.create: size %d must be positive" size;
+let create ?(trace = Trace.Recorder.inert) ?exhook fabric =
+  let net = Netmodel.create fabric in
+  let size = Array.length fabric.Netmodel.f_node_of in
   let alive = Ds.Bitset.create size in
   Ds.Bitset.fill alive;
-  let net =
-    match (fabric, node) with
-    | Some f, _ -> Netmodel.create_fabric f ~ranks:size
-    | None, Some (intra, node_size) ->
-        Netmodel.create_hierarchical ~inter:net_params ~intra ~node_size ~ranks:size
-    | None, None -> Netmodel.create net_params ~ranks:size
-  in
   {
     engine = Engine.create ();
     net;
@@ -133,11 +127,6 @@ let comm_revoked w cid =
   match Hashtbl.find_opt w.comms cid with Some s -> s.revoked | None -> false
 
 let is_alive w r = Ds.Bitset.mem w.alive r
-
-let comm_has_failed w cid =
-  match Hashtbl.find_opt w.comms cid with
-  | Some s -> Array.exists (fun r -> not (is_alive w r)) s.group
-  | None -> false
 
 let comm_failed_at w cid =
   match Hashtbl.find_opt w.comms cid with

@@ -1,5 +1,6 @@
 (** Global state of one simulated machine: the event engine, the network
-    model, one mailbox per rank, liveness for failure injection, and the
+    model of its fabric (the world has one rank per placed rank), one
+    mailbox per rank, liveness for failure injection, and the
     profiling counters.
 
     Communicator {e shared state} ([comm_shared]) lives here: one value per
@@ -53,21 +54,12 @@ and agree_cell = {
   mutable agree_waiters : int Simnet.Engine.resumer list;
 }
 
-(** [create ~net_params ~size ()] builds a world of [size] ranks, all
-    alive; [node] switches to the legacy two-tier hierarchy of
-    [(intra-node params, node size)]; [fabric] installs a general tiered
-    fabric (see {!Simnet.Netmodel.fabric}) and takes precedence over
-    [node]; [trace] installs an event recorder (default: the inert one —
-    tracing off). *)
-val create :
-  ?node:Simnet.Netmodel.params * int ->
-  ?fabric:Simnet.Netmodel.fabric ->
-  ?trace:Trace.Recorder.t ->
-  ?exhook:Exhook.t ->
-  net_params:Simnet.Netmodel.params ->
-  size:int ->
-  unit ->
-  t
+(** [create fabric] builds a world with one rank per entry of the
+    fabric's placement map, all alive, on the network model of [fabric]
+    (see {!Simnet.Netmodel.create}); [trace] installs an event recorder
+    (default: the inert one — tracing off).
+    @raise Invalid_argument if [fabric] is inconsistent. *)
+val create : ?trace:Trace.Recorder.t -> ?exhook:Exhook.t -> Simnet.Netmodel.fabric -> t
 
 (** [now w] is the simulated clock. *)
 val now : t -> float
@@ -107,11 +99,6 @@ val session_comm : t -> key:string -> int array -> comm_shared
 (** [comm_revoked w cid] is true when communicator [cid] exists and was
     revoked (checker query). *)
 val comm_revoked : t -> int -> bool
-
-(** [comm_has_failed w cid] is true when communicator [cid] exists and at
-    least one of its members has died — even if the communicator was
-    never revoked. *)
-val comm_has_failed : t -> int -> bool
 
 (** [comm_failed_at w cid] is the earliest simulated time at which a
     member of communicator [cid] died, or [infinity] when all members

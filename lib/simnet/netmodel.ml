@@ -33,7 +33,7 @@ let intra_node =
   }
 
 (* ------------------------------------------------------------------ *)
-(* Tiered fabric description (lib/topology builds these).              *)
+(* Fabric description: the one network description every model wraps. *)
 (* ------------------------------------------------------------------ *)
 
 type fabric = {
@@ -45,81 +45,102 @@ type fabric = {
   f_uplinks : int;
 }
 
-let validate_fabric f ~ranks =
-  if Array.length f.f_node_of <> ranks then
-    invalid_arg "Netmodel: fabric node map length differs from rank count";
+let validate f =
+  if Array.length f.f_node_of = 0 then invalid_arg "Netmodel: fabric has no ranks";
   let nodes = Array.length f.f_rack_of in
-  if nodes = 0 then invalid_arg "Netmodel: fabric has no nodes";
+  (* every node must host at least one rank, or the uplink port table and
+     population profile silently degrade *)
+  let occupied = Array.make nodes false in
   Array.iter
-    (fun n -> if n < 0 || n >= nodes then invalid_arg "Netmodel: fabric node id out of range")
+    (fun n ->
+      if n < 0 || n >= nodes then invalid_arg "Netmodel: node id out of range";
+      occupied.(n) <- true)
     f.f_node_of;
   Array.iter
-    (fun r -> if r < 0 then invalid_arg "Netmodel: fabric rack id negative")
+    (fun r -> if r < 0 then invalid_arg "Netmodel: rack id negative")
     f.f_rack_of;
-  if f.f_uplinks < 0 then invalid_arg "Netmodel: fabric uplink count negative"
+  Array.iteri
+    (fun n o ->
+      if not o then invalid_arg (Printf.sprintf "Netmodel: fabric node %d hosts no rank" n))
+    occupied;
+  if f.f_uplinks < 0 then invalid_arg "Netmodel: uplink count negative"
+
+let flat p ~ranks =
+  if ranks <= 0 then invalid_arg "Netmodel.flat: ranks must be positive";
+  {
+    f_node_of = Array.init ranks Fun.id;
+    f_rack_of = Array.make ranks 0;
+    f_node = p;
+    f_rack = p;
+    f_core = p;
+    f_uplinks = 0;
+  }
+
+(* Block placement (rank r on node r / node_size), node n in rack
+   [rack_of_node n]. *)
+let blocked ~node ~rack ~core ~uplinks ~node_size ~ranks rack_of_node =
+  if ranks <= 0 || node_size <= 0 then
+    invalid_arg "Netmodel: ranks and node_size must be positive";
+  let f =
+    {
+      f_node_of = Array.init ranks (fun r -> r / node_size);
+      f_rack_of = Array.init ((ranks + node_size - 1) / node_size) rack_of_node;
+      f_node = node;
+      f_rack = rack;
+      f_core = core;
+      f_uplinks = uplinks;
+    }
+  in
+  validate f;
+  f
+
+let two_tier ?(intra = intra_node) ?(inter = default) ?(uplinks = 0) ~node_size ~ranks () =
+  (* one rack: the rack tier collapses onto the inter-node parameters *)
+  blocked ~node:intra ~rack:inter ~core:inter ~uplinks ~node_size ~ranks (fun _ -> 0)
+
+let fat_tree ?(intra = intra_node) ?(rack = low_latency) ?(core = default) ?(uplinks = 0)
+    ~node_size ~nodes_per_rack ~ranks () =
+  if nodes_per_rack <= 0 then invalid_arg "Netmodel.fat_tree: nodes_per_rack must be positive";
+  blocked ~node:intra ~rack ~core ~uplinks ~node_size ~ranks (fun n -> n / nodes_per_rack)
 
 type t = {
-  p : params;
-  intra : (params * int) option;  (* (intra-node params, node size) *)
-  fabric : fabric option;  (* general tiered fabric; [None] = the two legacy shapes *)
+  fabric : fabric;
+  uniform : bool;
+      (* all three tiers carry one param set: pair and group queries answer
+         it without reading the placement maps *)
   uplink_free : float array array;  (* node -> uplink port -> busy-until *)
   egress_free : float array;
   ingress_free : float array;
 }
 
-let create p ~ranks =
-  if ranks <= 0 then invalid_arg "Netmodel.create: ranks must be positive";
+let create f =
+  validate f;
+  let ranks = Array.length f.f_node_of in
   {
-    p;
-    intra = None;
-    fabric = None;
-    uplink_free = [||];
+    fabric = f;
+    uniform = f.f_node = f.f_rack && f.f_rack = f.f_core;
+    uplink_free =
+      (if f.f_uplinks = 0 then [||]
+       else Array.init (Array.length f.f_rack_of) (fun _ -> Array.make f.f_uplinks 0.0));
     egress_free = Array.make ranks 0.0;
     ingress_free = Array.make ranks 0.0;
   }
 
-let create_hierarchical ~inter ~intra ~node_size ~ranks =
-  if node_size <= 0 then invalid_arg "Netmodel.create_hierarchical: node_size must be positive";
-  let t = create inter ~ranks in
-  { t with intra = Some (intra, node_size) }
-
-let create_fabric f ~ranks =
-  validate_fabric f ~ranks;
-  let t = create f.f_core ~ranks in
-  let nodes = Array.length f.f_rack_of in
-  let uplink_free =
-    if f.f_uplinks = 0 then [||]
-    else Array.init nodes (fun _ -> Array.make f.f_uplinks 0.0)
-  in
-  { t with fabric = Some f; uplink_free }
-
-let params t = t.p
-
-(* Node id of a world rank: explicit placement on a fabric, [rank /
-   node_size] on the legacy two-tier model, one rank per node on a flat
-   fabric (every rank is its own shared-memory domain). *)
-let node_of t r =
-  match t.fabric with
-  | Some f -> f.f_node_of.(r)
-  | None -> ( match t.intra with Some (_, node_size) -> r / node_size | None -> r)
-
-let rack_of_rank t r =
-  match t.fabric with Some f -> f.f_rack_of.(f.f_node_of.(r)) | None -> 0
-
-let fabric_params f ~src_node ~dst_node =
-  if src_node = dst_node then f.f_node
-  else if f.f_rack_of.(src_node) = f.f_rack_of.(dst_node) then f.f_rack
-  else f.f_core
+let params t = t.fabric.f_core
+let node_of t r = t.fabric.f_node_of.(r)
+let rack_of_rank t r = t.fabric.f_rack_of.(t.fabric.f_node_of.(r))
 
 let params_between t ~src ~dst =
-  match t.fabric with
-  | Some f -> fabric_params f ~src_node:f.f_node_of.(src) ~dst_node:f.f_node_of.(dst)
-  | None -> (
-      match t.intra with
-      | Some (intra, node_size) when src / node_size = dst / node_size -> intra
-      | Some _ | None -> t.p)
+  let f = t.fabric in
+  if t.uniform then f.f_core
+  else begin
+    let src_node = f.f_node_of.(src) and dst_node = f.f_node_of.(dst) in
+    if src_node = dst_node then f.f_node
+    else if f.f_rack_of.(src_node) = f.f_rack_of.(dst_node) then f.f_rack
+    else f.f_core
+  end
 
-let local_compute_cost t ~bytes = float_of_int bytes *. t.p.memcpy_byte_time
+let local_compute_cost t ~bytes = float_of_int bytes *. (params t).memcpy_byte_time
 
 (* ------------------------------------------------------------------ *)
 (* Cost-prediction helpers (LogGP terms) for the collective-algorithm  *)
@@ -133,21 +154,17 @@ let per_byte_cost p = p.injection_byte_time +. p.byte_time
 let msg_cost p ~bytes = startup_cost p +. (float_of_int bytes *. per_byte_cost p)
 
 let params_for_group t group =
-  match t.fabric with
-  | Some f when Array.length group > 0 ->
-      let node0 = f.f_node_of.(group.(0)) in
-      if Array.for_all (fun g -> f.f_node_of.(g) = node0) group then f.f_node
-      else begin
-        let rack0 = f.f_rack_of.(node0) in
-        if Array.for_all (fun g -> f.f_rack_of.(f.f_node_of.(g)) = rack0) group then f.f_rack
-        else f.f_core
-      end
-  | Some _ | None -> (
-      match t.intra with
-      | Some (intra, node_size) when Array.length group > 0 ->
-          let node0 = group.(0) / node_size in
-          if Array.for_all (fun g -> g / node_size = node0) group then intra else t.p
-      | Some _ | None -> t.p)
+  let f = t.fabric in
+  if t.uniform || Array.length group = 0 then f.f_core
+  else begin
+    let node0 = f.f_node_of.(group.(0)) in
+    if Array.for_all (fun g -> f.f_node_of.(g) = node0) group then f.f_node
+    else begin
+      let rack0 = f.f_rack_of.(node0) in
+      if Array.for_all (fun g -> f.f_rack_of.(f.f_node_of.(g)) = rack0) group then f.f_rack
+      else f.f_core
+    end
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Topology-aware group profile: what a collective spanning nodes      *)
@@ -161,35 +178,32 @@ type hier_profile = {
   h_max_per_node : int;
 }
 
-(* Only tiered fabrics get a profile: the legacy two-tier (?node) model
-   deliberately keeps its exact pre-topology planning behavior, and a flat
-   fabric has nothing to exploit. *)
+(* A uniform fabric has no hierarchy to exploit, so hierarchical
+   candidates stay out of selection exactly as on the flat machine. *)
 let hier_for_group t group =
-  match t.fabric with
-  | None -> None
-  | Some f ->
-      if Array.length group = 0 then None
-      else begin
-        (* Count distinct nodes and the heaviest node's population. *)
-        let counts = Hashtbl.create 8 in
-        Array.iter
-          (fun g ->
-            let nd = f.f_node_of.(g) in
-            Hashtbl.replace counts nd (1 + Option.value ~default:0 (Hashtbl.find_opt counts nd)))
-          group;
-        let nodes = Hashtbl.length counts in
-        if nodes <= 1 then None (* single node: params_for_group already exact *)
-        else begin
-          let mpn = Hashtbl.fold (fun _ c acc -> max c acc) counts 0 in
-          Some
-            {
-              h_intra = f.f_node;
-              h_inter = params_for_group t group;
-              h_nodes = nodes;
-              h_max_per_node = mpn;
-            }
-        end
-      end
+  if t.uniform || Array.length group = 0 then None
+  else begin
+    let f = t.fabric in
+    (* Count distinct nodes and the heaviest node's population. *)
+    let counts = Hashtbl.create 8 in
+    Array.iter
+      (fun g ->
+        let nd = f.f_node_of.(g) in
+        Hashtbl.replace counts nd (1 + Option.value ~default:0 (Hashtbl.find_opt counts nd)))
+      group;
+    let nodes = Hashtbl.length counts in
+    if nodes <= 1 then None (* single node: params_for_group already exact *)
+    else begin
+      let mpn = Hashtbl.fold (fun _ c acc -> max c acc) counts 0 in
+      Some
+        {
+          h_intra = f.f_node;
+          h_inter = params_for_group t group;
+          h_nodes = nodes;
+          h_max_per_node = mpn;
+        }
+    end
+  end
 
 (* Earliest-free uplink port of [node]; deterministic argmin (first of the
    equally free ports wins). *)
@@ -212,12 +226,13 @@ let transfer t ~now ~src ~dst ~bytes ~pack_factor =
     (* Inter-node messages on a fabric with a finite uplink count also
        serialize on the source node's shared uplink ports (the fat-tree
        oversubscription effect); intra-node traffic never touches them. *)
+    let f = t.fabric in
     let uplink =
-      match t.fabric with
-      | Some f when f.f_uplinks > 0 && f.f_node_of.(src) <> f.f_node_of.(dst) ->
-          let ports = t.uplink_free.(f.f_node_of.(src)) in
-          Some (ports, pick_uplink ports)
-      | Some _ | None -> None
+      if f.f_uplinks > 0 && f.f_node_of.(src) <> f.f_node_of.(dst) then begin
+        let ports = t.uplink_free.(f.f_node_of.(src)) in
+        Some (ports, pick_uplink ports)
+      end
+      else None
     in
     let start = Float.max now t.egress_free.(src) in
     let start =
@@ -238,12 +253,13 @@ let transfer t ~now ~src ~dst ~bytes ~pack_factor =
 (* ------------------------------------------------------------------ *)
 
 (* Specs:
-     "two:<node_size>"                        two-tier, default params
+     "two:<node_size>"                        two-tier
      "fat:<node_size>:<nodes_per_rack>[:<uplinks>]"
                                               three-tier fat tree
-   Block placement (rank r on node r / node_size).  Unknown specs raise
-   [Invalid_argument] so a typo in the environment fails loudly. *)
-let fabric_of_spec ~ranks spec =
+   Block placement (rank r on node r / node_size).  [inter] is the
+   inter-node tier: rack and core on "two", core on "fat".  Unknown specs
+   raise [Invalid_argument] so a typo in the environment fails loudly. *)
+let fabric_of_spec ?inter ~ranks spec =
   let fail () =
     invalid_arg
       (Printf.sprintf
@@ -252,29 +268,10 @@ let fabric_of_spec ~ranks spec =
          spec)
   in
   let int_of s = match int_of_string_opt (String.trim s) with Some i when i > 0 -> i | _ -> fail () in
-  let nodes_for node_size = (ranks + node_size - 1) / node_size in
-  let block node_size = Array.init ranks (fun r -> r / node_size) in
   match String.split_on_char ':' spec with
-  | [ "two"; ns ] ->
-      let node_size = int_of ns in
-      {
-        f_node_of = block node_size;
-        f_rack_of = Array.make (nodes_for node_size) 0;
-        f_node = intra_node;
-        f_rack = default;
-        f_core = default;
-        f_uplinks = 0;
-      }
+  | [ "two"; ns ] -> two_tier ?inter ~node_size:(int_of ns) ~ranks ()
   | "fat" :: ns :: npr :: rest ->
       let node_size = int_of ns and nodes_per_rack = int_of npr in
       let uplinks = match rest with [] -> 0 | [ u ] -> int_of u | _ -> fail () in
-      let nodes = nodes_for node_size in
-      {
-        f_node_of = block node_size;
-        f_rack_of = Array.init nodes (fun n -> n / nodes_per_rack);
-        f_node = intra_node;
-        f_rack = low_latency;
-        f_core = default;
-        f_uplinks = uplinks;
-      }
+      fat_tree ?core:inter ~uplinks ~node_size ~nodes_per_rack ~ranks ()
   | _ -> fail ()

@@ -1,6 +1,9 @@
-(** Single-port LogGP-style network cost model.
+(** Single-port LogGP-style network cost model over one {!fabric}.
 
-    A message of [bytes] from [src] to [dst] experiences:
+    The network is always described by one validated fabric: per-tier
+    parameters chosen by the pair's placement (same node / same rack /
+    across racks); the flat machine is {!flat}.  Within the tier, a
+    message of [bytes] from [src] to [dst] experiences:
     - sender-side injection: the sender's egress port is occupied for
       [send_overhead + bytes * injection_byte_time]; messages from one rank
       serialize on its port (the effect that makes one-sided fan-out
@@ -40,13 +43,18 @@ val low_latency : params
 (** Shared-memory-class parameters for communication within a node. *)
 val intra_node : params
 
-(** {1 Tiered fabrics}
+(** {1 Fabrics}
 
-    A general three-tier topology description (node / rack / core) with an
-    explicit rank→node→rack placement map and optional shared uplink ports
-    per node.  [lib/topology] provides builders and presets; this record is
-    the simulator-facing core so routing can live next to the port
-    schedule. *)
+    The one network description: a three-tier topology (node / rack /
+    core) with an explicit rank→node→rack placement map and optional
+    shared uplink ports per node.  Every model wraps one validated fabric;
+    the flat machine is the fabric {!flat} builds.  [lib/topology] adds
+    presets and shape queries on top of the builders here.
+
+    A fabric whose three tiers carry equal parameters is {e uniform}: pair
+    and group queries return that one parameter set without reading the
+    placement maps, and {!hier_for_group} is [None], so hierarchical
+    collective algorithms never enter selection on it. *)
 
 type fabric = {
   f_node_of : int array;  (** world rank → node id *)
@@ -60,38 +68,72 @@ type fabric = {
           behavior) *)
 }
 
+(** [flat params ~ranks] is the flat machine: every rank on its own node,
+    one rack, and [params] for all three tiers (a uniform fabric). *)
+val flat : params -> ranks:int -> fabric
+
+(** [two_tier ~node_size ~ranks ()] is a cluster of shared-memory nodes
+    with block placement (rank [r] on node [r / node_size]) and a single
+    rack (the rack tier collapses onto the inter-node parameters).
+    @param intra intra-node parameters (default {!intra_node})
+    @param inter inter-node parameters (default {!default})
+    @param uplinks shared uplink ports per node (default [0])
+    @raise Invalid_argument on non-positive sizes or a negative uplink
+    count. *)
+val two_tier :
+  ?intra:params -> ?inter:params -> ?uplinks:int -> node_size:int -> ranks:int -> unit -> fabric
+
+(** [fat_tree ~node_size ~nodes_per_rack ~ranks ()] is a three-tier fat
+    tree: block rank placement, consecutive nodes blocked into racks.
+    @param intra intra-node parameters (default {!intra_node})
+    @param rack intra-rack parameters (default {!low_latency})
+    @param core cross-rack parameters (default {!default})
+    @param uplinks shared uplink ports per node (default [0])
+    @raise Invalid_argument on non-positive sizes or a negative uplink
+    count. *)
+val fat_tree :
+  ?intra:params ->
+  ?rack:params ->
+  ?core:params ->
+  ?uplinks:int ->
+  node_size:int ->
+  nodes_per_rack:int ->
+  ranks:int ->
+  unit ->
+  fabric
+
+(** [fabric_of_spec ~ranks spec] parses an [MPISIM_TOPOLOGY]-style spec
+    through {!two_tier} and {!fat_tree}: ["two:<node_size>"] (shared-memory
+    nodes under one inter-node tier) or
+    ["fat:<node_size>:<nodes_per_rack>\[:<uplinks>\]"] (three-tier fat
+    tree, optionally with [uplinks] shared uplink ports per node).
+    Placement is block (rank [r] on node [r / node_size]).
+    @param inter the inter-node tier: rack and core on ["two"], core on
+    ["fat"] (default {!default})
+    @raise Invalid_argument on a malformed spec. *)
+val fabric_of_spec : ?inter:params -> ranks:int -> string -> fabric
+
+(** {1 The model} *)
+
 type t
 
-(** [create params ~ranks] allocates per-rank port state (a flat fabric:
-    every pair communicates with the same parameters). *)
-val create : params -> ranks:int -> t
+(** [create f] validates [f] and allocates the port state of its ranks
+    and uplinks.  A valid fabric is dense and consistent: at least one
+    rank, every node id indexes [f_rack_of], rack ids are non-negative,
+    every node hosts at least one rank, and the uplink count is
+    non-negative.
+    @raise Invalid_argument with a specific message otherwise. *)
+val create : fabric -> t
 
-(** [create_hierarchical ~inter ~intra ~node_size ~ranks] models a cluster
-    of nodes with [node_size] ranks each: pairs within a node (same
-    [rank / node_size]) use [intra], all others [inter]. *)
-val create_hierarchical : inter:params -> intra:params -> node_size:int -> ranks:int -> t
-
-(** [create_fabric f ~ranks] builds the model for a tiered fabric.  Raises
-    [Invalid_argument] if the placement maps are inconsistent with [ranks]. *)
-val create_fabric : fabric -> ranks:int -> t
-
-(** [fabric_of_spec ~ranks spec] parses an [MPISIM_TOPOLOGY]-style spec:
-    ["two:<node_size>"] (two-tier, shared-memory nodes under the default
-    inter-node fabric) or ["fat:<node_size>:<nodes_per_rack>\[:<uplinks>\]"]
-    (three-tier fat tree, optionally with [uplinks] shared uplink ports per
-    node).  Placement is block (rank [r] on node [r / node_size]).  Raises
-    [Invalid_argument] on a malformed spec. *)
-val fabric_of_spec : ranks:int -> string -> fabric
-
-(** [params t] returns the inter-node (or flat) model parameters. *)
+(** [params t] is the core tier: the parameters of pairs in different
+    racks, and of every pair on a uniform fabric. *)
 val params : t -> params
 
-(** [node_of t r] is the shared-memory node hosting world rank [r]: the
-    placement map on a tiered fabric, [r / node_size] on the legacy
-    two-tier model, and [r] itself (one rank per node) on a flat fabric. *)
+(** [node_of t r] is the shared-memory node hosting world rank [r] (on the
+    flat machine, [r] itself: every rank is its own node). *)
 val node_of : t -> int -> int
 
-(** [rack_of_rank t r] is the rack of [r]'s node ([0] off tiered fabrics). *)
+(** [rack_of_rank t r] is the rack of [r]'s node. *)
 val rack_of_rank : t -> int -> int
 
 (** [params_between t ~src ~dst] is the parameter set governing one pair. *)
@@ -126,9 +168,8 @@ val msg_cost : params -> bytes:int -> float
 
 (** [params_for_group t group] is the parameter set a collective over the
     given world ranks should plan with: the tightest tier containing every
-    member (node, then rack, then core on a tiered fabric; intra-node vs
-    inter-node on the legacy two-tier model), falling back to the flat
-    parameters. *)
+    member (node, then rack, then core); the one parameter set on a
+    uniform fabric. *)
 val params_for_group : t -> int array -> params
 
 (** A topology-aware planning profile for a group that spans nodes:
@@ -143,8 +184,7 @@ type hier_profile = {
 }
 
 (** [hier_for_group t group] is the hierarchical profile of the group, or
-    [None] when there is no hierarchy to exploit: a flat fabric, a group
-    confined to one node (where {!params_for_group} is already exact), or
-    the legacy two-tier [?node] model — which deliberately keeps its exact
-    pre-topology planning behavior; build a {!fabric} to opt in. *)
+    [None] when there is no hierarchy to exploit: a uniform fabric (the
+    flat machine among them) or a group confined to one node (where
+    {!params_for_group} is already exact). *)
 val hier_for_group : t -> int array -> hier_profile option

@@ -75,7 +75,7 @@ let tune_profile ?(sizes = default_sizes) ?(elem_size = 8) ?(op_cost = 1.0e-9)
 let tune ?sizes ?elem_size ?op_cost ?commutative fabric ~p =
   let ranks = Fabric.ranks fabric in
   if p > ranks then invalid_arg "Autotune.tune: communicator larger than fabric";
-  let net = N.create_fabric fabric ~ranks in
+  let net = N.create fabric in
   let group = Array.init p Fun.id in
   let prm = N.params_for_group net group in
   let hier = N.hier_for_group net group in

@@ -1,62 +1,13 @@
-(** Builders for tiered fabric descriptions.
+(** Shape queries on fabric descriptions.
 
     A fabric ({!Simnet.Netmodel.fabric}) is the simulator-facing record:
     rank→node→rack placement plus per-tier LogGP parameters and the shared
-    uplink port count.  This module constructs the common shapes with
-    validated placements; pass the result to [Mpisim.Mpi.run ~fabric] (or
-    export an equivalent [MPISIM_TOPOLOGY] spec, see {!of_spec}). *)
+    uplink port count.  {!Simnet.Netmodel} builds and validates them
+    ([flat], [two_tier], [fat_tree], [fabric_of_spec]); {!Presets} names
+    the common shapes.  Pass one to [Mpisim.Mpi.run ~fabric] (or export an
+    equivalent [MPISIM_TOPOLOGY] spec). *)
 
 type t = Simnet.Netmodel.fabric
-
-(** [make ~node_of ~rack_of ~node ~rack ~core ()] assembles a fabric from
-    explicit placement maps (copied defensively) and per-tier parameters.
-    @param uplinks shared uplink ports per node (default [0]: uncongested)
-    @raise Invalid_argument if the placement fails {!Place.validate}. *)
-val make :
-  ?uplinks:int ->
-  node_of:int array ->
-  rack_of:int array ->
-  node:Simnet.Netmodel.params ->
-  rack:Simnet.Netmodel.params ->
-  core:Simnet.Netmodel.params ->
-  unit ->
-  t
-
-(** [two_tier ~node_size ~ranks ()] is a cluster of shared-memory nodes
-    with block placement and a single rack (the rack tier collapses onto
-    the inter-node parameters).
-    @param intra intra-node parameters (default {!Simnet.Netmodel.intra_node})
-    @param inter inter-node parameters (default {!Simnet.Netmodel.default})
-    @param uplinks shared uplink ports per node (default [0]) *)
-val two_tier :
-  ?intra:Simnet.Netmodel.params ->
-  ?inter:Simnet.Netmodel.params ->
-  ?uplinks:int ->
-  node_size:int ->
-  ranks:int ->
-  unit ->
-  t
-
-(** [fat_tree ~node_size ~nodes_per_rack ~ranks ()] is a three-tier fat
-    tree: block rank placement, consecutive nodes blocked into racks.
-    @param intra intra-node parameters (default {!Simnet.Netmodel.intra_node})
-    @param rack intra-rack parameters (default {!Simnet.Netmodel.low_latency})
-    @param core cross-rack parameters (default {!Simnet.Netmodel.default})
-    @param uplinks shared uplink ports per node (default [0]) *)
-val fat_tree :
-  ?intra:Simnet.Netmodel.params ->
-  ?rack:Simnet.Netmodel.params ->
-  ?core:Simnet.Netmodel.params ->
-  ?uplinks:int ->
-  node_size:int ->
-  nodes_per_rack:int ->
-  ranks:int ->
-  unit ->
-  t
-
-(** [of_spec ~ranks spec] parses an [MPISIM_TOPOLOGY] spec string — see
-    {!Simnet.Netmodel.fabric_of_spec}. *)
-val of_spec : ranks:int -> string -> t
 
 val ranks : t -> int
 val nodes : t -> int

@@ -2,8 +2,9 @@
 
     A placement is two dense arrays: [node_of] maps world rank to node id,
     [rack_of] maps node id to rack id — the exact representation
-    {!Simnet.Netmodel.fabric} consumes.  Builders here cover the standard
-    layouts; anything else is an ordinary [int array]. *)
+    {!Simnet.Netmodel.fabric} consumes ({!Simnet.Netmodel.create}
+    checks them).  Builders here cover the standard layouts; anything else
+    is an ordinary [int array]. *)
 
 (** [ceil_div a b] rounds the quotient up (node counts from rank counts). *)
 val ceil_div : int -> int -> int
@@ -34,10 +35,3 @@ val node_count : int array -> int
 
 (** [populations node_of] is the per-node rank count, indexed by node id. *)
 val populations : int array -> int array
-
-(** [validate ~ranks ~node_of ~rack_of] checks a placement is dense and
-    consistent: the node map covers exactly [ranks] entries, every node id
-    indexes [rack_of], rack ids are non-negative, and every node hosts at
-    least one rank.
-    @raise Invalid_argument with a specific message otherwise. *)
-val validate : ranks:int -> node_of:int array -> rack_of:int array -> unit

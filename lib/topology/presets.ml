@@ -1,23 +1,22 @@
+module N = Simnet.Netmodel
+
 (* Ranks per node on the OmniPath-class machine the default parameters
    model (dual-socket 24-core nodes). *)
 let omnipath_node_size = 48
 
-let omnipath ~ranks = Fabric.two_tier ~node_size:omnipath_node_size ~ranks ()
+let omnipath ~ranks = N.two_tier ~node_size:omnipath_node_size ~ranks ()
 
+(* The same nodes and tiers; only the rank -> node map is dealt out. *)
 let omnipath_scattered ~ranks =
   let node_of = Place.scattered ~ranks ~node_size:omnipath_node_size in
-  let nodes = Place.node_count node_of in
-  Fabric.make ~node_of
-    ~rack_of:(Array.make nodes 0)
-    ~node:Simnet.Netmodel.intra_node ~rack:Simnet.Netmodel.default
-    ~core:Simnet.Netmodel.default ()
+  { (omnipath ~ranks) with N.f_node_of = node_of }
 
-let smp_quad ~ranks = Fabric.two_tier ~node_size:4 ~ranks ()
+let smp_quad ~ranks = N.two_tier ~node_size:4 ~ranks ()
 
 let fat_tree_demo ~ranks =
   (* four 8-rank nodes per rack, 2 shared uplinks per node: small enough
      to sweep in tests, congested enough to make the uplink model visible *)
-  Fabric.fat_tree ~node_size:8 ~nodes_per_rack:4 ~uplinks:2 ~ranks ()
+  N.fat_tree ~node_size:8 ~nodes_per_rack:4 ~uplinks:2 ~ranks ()
 
 let all =
   [

@@ -1,4 +1,5 @@
-(** Named fabric presets used by the benches and the test suite.
+(** Named fabric presets used by the benches and the test suite, built
+    with {!Simnet.Netmodel}'s builders.
 
     Each preset is a function of the world size so one name covers every
     sweep point. *)

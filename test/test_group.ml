@@ -56,9 +56,9 @@ let test_comm_create_group () =
   Alcotest.(check (list int)) "excluded did not participate" [ -2 ] results.(2)
 
 let test_hierarchical_network_faster_intra () =
-  let ping ?node () =
+  let ping ?fabric () =
     let res =
-      Mpisim.Mpi.run ?node ~ranks:4 (fun comm ->
+      Mpisim.Mpi.run ?fabric ~ranks:4 (fun comm ->
           if Comm.rank comm = 0 then
             P2p.send comm Datatype.int (Array.make 1000 7) ~dst:1 ~tag:0
           else if Comm.rank comm = 1 then
@@ -67,21 +67,21 @@ let test_hierarchical_network_faster_intra () =
     res.Mpisim.Mpi.sim_time
   in
   let flat = ping () in
-  let hier = ping ~node:(Simnet.Netmodel.intra_node, 2) () in
+  let hier = ping ~fabric:(Simnet.Netmodel.two_tier ~node_size:2 ~ranks:4 ()) () in
   Alcotest.(check bool)
     (Printf.sprintf "intra-node cheaper (%.2fus vs %.2fus)" (1e6 *. hier) (1e6 *. flat))
     true (hier < flat)
 
 let test_hierarchical_inter_node_unchanged () =
   (* ranks 0 and 1 on different single-rank nodes: same cost as flat *)
-  let ping ?node () =
-    (Mpisim.Mpi.run ?node ~ranks:2 (fun comm ->
+  let ping ?fabric () =
+    (Mpisim.Mpi.run ?fabric ~ranks:2 (fun comm ->
          if Comm.rank comm = 0 then P2p.send comm Datatype.int [| 1 |] ~dst:1 ~tag:0
          else ignore (P2p.recv comm Datatype.int [| 0 |] ~src:0 ~tag:0)))
       .Mpisim.Mpi.sim_time
   in
   Alcotest.(check (float 1e-12)) "node_size 1 = flat" (ping ())
-    (ping ~node:(Simnet.Netmodel.intra_node, 1) ())
+    (ping ~fabric:(Simnet.Netmodel.two_tier ~node_size:1 ~ranks:2 ()) ())
 
 let test_single_wrappers () =
   ignore

@@ -135,13 +135,13 @@ let test_engine_one_shot_resumer () =
 
 let test_netmodel_latency_bandwidth () =
   let p = Netmodel.default in
-  let t = Netmodel.create p ~ranks:2 in
+  let t = Netmodel.create (Netmodel.flat p ~ranks:2) in
   let injected, arrival = Netmodel.transfer t ~now:0.0 ~src:0 ~dst:1 ~bytes:0 ~pack_factor:1.0 in
   Alcotest.(check bool) "zero-byte message costs latency" true
     (arrival >= p.latency && arrival < p.latency +. 2e-6);
   Alcotest.(check bool) "injection before arrival" true (injected < arrival);
   let _, arrival_big =
-    Netmodel.transfer (Netmodel.create p ~ranks:2) ~now:0.0 ~src:0 ~dst:1 ~bytes:1_000_000
+    Netmodel.transfer (Netmodel.create (Netmodel.flat p ~ranks:2)) ~now:0.0 ~src:0 ~dst:1 ~bytes:1_000_000
       ~pack_factor:1.0
   in
   Alcotest.(check bool) "1MB dominated by bandwidth" true
@@ -149,27 +149,27 @@ let test_netmodel_latency_bandwidth () =
 
 let test_netmodel_port_serialization () =
   let p = Netmodel.default in
-  let t = Netmodel.create p ~ranks:3 in
+  let t = Netmodel.create (Netmodel.flat p ~ranks:3) in
   let _, a1 = Netmodel.transfer t ~now:0.0 ~src:0 ~dst:1 ~bytes:100_000 ~pack_factor:1.0 in
   let _, a2 = Netmodel.transfer t ~now:0.0 ~src:0 ~dst:2 ~bytes:100_000 ~pack_factor:1.0 in
   Alcotest.(check bool) "second message waits for the sender port" true (a2 > a1);
   (* two different senders to different receivers do not serialize *)
-  let t2 = Netmodel.create p ~ranks:4 in
+  let t2 = Netmodel.create (Netmodel.flat p ~ranks:4) in
   let _, b1 = Netmodel.transfer t2 ~now:0.0 ~src:0 ~dst:1 ~bytes:100_000 ~pack_factor:1.0 in
   let _, b2 = Netmodel.transfer t2 ~now:0.0 ~src:2 ~dst:3 ~bytes:100_000 ~pack_factor:1.0 in
   Alcotest.(check (float 1e-12)) "parallel links" b1 b2
 
 let test_netmodel_pack_factor () =
   let p = Netmodel.default in
-  let t = Netmodel.create p ~ranks:2 in
+  let t = Netmodel.create (Netmodel.flat p ~ranks:2) in
   let _, a = Netmodel.transfer t ~now:0.0 ~src:0 ~dst:1 ~bytes:100_000 ~pack_factor:1.0 in
-  let t2 = Netmodel.create p ~ranks:2 in
+  let t2 = Netmodel.create (Netmodel.flat p ~ranks:2) in
   let _, b = Netmodel.transfer t2 ~now:0.0 ~src:0 ~dst:1 ~bytes:100_000 ~pack_factor:2.0 in
   Alcotest.(check bool) "pack factor slows transfer" true (b > a)
 
 let test_netmodel_self_message () =
   let p = Netmodel.default in
-  let t = Netmodel.create p ~ranks:2 in
+  let t = Netmodel.create (Netmodel.flat p ~ranks:2) in
   let _, a = Netmodel.transfer t ~now:0.0 ~src:0 ~dst:0 ~bytes:1000 ~pack_factor:1.0 in
   Alcotest.(check bool) "self message cheaper than latency" true (a < p.latency)
 

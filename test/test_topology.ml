@@ -29,26 +29,39 @@ let test_place () =
   check_bool "scattered is not block" true (sc <> Topology.Place.block ~ranks:8 ~node_size:2);
   check_bool "scattered rejects non-divisible" true
     (raises_invalid (fun () -> Topology.Place.scattered ~ranks:7 ~node_size:2));
+  let fabric node_of rack_of = { (N.flat N.default ~ranks:1) with N.f_node_of = node_of; f_rack_of = rack_of } in
   check_bool "validate: length mismatch" true
-    (raises_invalid (fun () -> Topology.Place.validate ~ranks:3 ~node_of:[| 0; 0 |] ~rack_of:[| 0 |]));
-  check_bool "validate: node out of range" true
-    (raises_invalid (fun () -> Topology.Place.validate ~ranks:2 ~node_of:[| 0; 1 |] ~rack_of:[| 0 |]));
-  check_bool "validate: empty node" true
     (raises_invalid (fun () ->
-         Topology.Place.validate ~ranks:2 ~node_of:[| 0; 0 |] ~rack_of:[| 0; 0 |]))
+         Mpisim.Mpi.run ~fabric:(fabric [| 0; 0 |] [| 0 |]) ~ranks:3 (fun _ -> ())));
+  check_bool "validate: node out of range" true
+    (raises_invalid (fun () -> N.create (fabric [| 0; 1 |] [| 0 |])));
+  check_bool "validate: empty node" true
+    (raises_invalid (fun () -> N.create (fabric [| 0; 0 |] [| 0; 0 |])));
+  check_bool "validate: negative rack" true
+    (raises_invalid (fun () -> N.create (fabric [| 0 |] [| -1 |])));
+  check_bool "validate: negative uplinks" true
+    (raises_invalid (fun () -> N.create { (fabric [| 0 |] [| 0 |]) with N.f_uplinks = -1 }))
 
 let test_fabric_builders () =
-  let f = Topology.Fabric.two_tier ~node_size:4 ~ranks:10 () in
+  let f = N.two_tier ~node_size:4 ~ranks:10 () in
   check_int "two-tier ranks" 10 (Topology.Fabric.ranks f);
   check_int "two-tier nodes" 3 (Topology.Fabric.nodes f);
   check_int "two-tier racks" 1 (Topology.Fabric.racks f);
   check_int "two-tier fullest node" 4 (Topology.Fabric.max_per_node f);
-  let ft = Topology.Fabric.fat_tree ~node_size:2 ~nodes_per_rack:2 ~uplinks:3 ~ranks:8 () in
+  let ft = N.fat_tree ~node_size:2 ~nodes_per_rack:2 ~uplinks:3 ~ranks:8 () in
   check_int "fat-tree nodes" 4 (Topology.Fabric.nodes ft);
   check_int "fat-tree racks" 2 (Topology.Fabric.racks ft);
   check_int "fat-tree uplinks" 3 ft.N.f_uplinks;
   check_bool "describe mentions shape" true
     (String.length (Topology.Fabric.describe ft) > 0);
+  let fl = N.flat N.default ~ranks:3 in
+  Alcotest.(check (array int)) "flat: a node per rank" [| 0; 1; 2 |] fl.N.f_node_of;
+  check_int "flat: one rack" 1 (Topology.Fabric.racks fl);
+  check_bool "builders reject a bad size" true
+    (raises_invalid (fun () -> N.two_tier ~node_size:0 ~ranks:4 ())
+    && raises_invalid (fun () -> N.fat_tree ~node_size:2 ~nodes_per_rack:0 ~ranks:4 ())
+    && raises_invalid (fun () -> N.two_tier ~uplinks:(-1) ~node_size:2 ~ranks:4 ())
+    && raises_invalid (fun () -> N.flat N.default ~ranks:0));
   List.iter
     (fun (name, build) ->
       let f = build ~ranks:96 in
@@ -76,8 +89,7 @@ let test_spec_parsing () =
 (* Tiered routing and congestion in the network model                  *)
 
 let test_tier_selection () =
-  let f = Topology.Fabric.fat_tree ~node_size:2 ~nodes_per_rack:2 ~ranks:8 () in
-  let t = N.create_fabric f ~ranks:8 in
+  let t = N.create (N.fat_tree ~node_size:2 ~nodes_per_rack:2 ~ranks:8 ()) in
   check_int "node of rank 5" 2 (N.node_of t 5);
   check_int "rack of rank 5" 1 (N.rack_of_rank t 5);
   let lat src dst = (N.params_between t ~src ~dst).N.latency in
@@ -88,19 +100,18 @@ let test_tier_selection () =
 (* Satellite regression: a group confined to one tier must plan with that
    tier's parameters, not collapse to the pessimistic core tier. *)
 let test_params_for_group_pessimism () =
-  let f = Topology.Fabric.fat_tree ~node_size:2 ~nodes_per_rack:2 ~ranks:8 () in
-  let t = N.create_fabric f ~ranks:8 in
+  let t = N.create (N.fat_tree ~node_size:2 ~nodes_per_rack:2 ~ranks:8 ()) in
   let lat g = (N.params_for_group t g).N.latency in
   check_bool "single-node group plans intra-node" true (lat [| 2; 3 |] = N.intra_node.N.latency);
   check_bool "single-rack group plans rack tier" true (lat [| 0; 1; 2; 3 |] = N.low_latency.N.latency);
   check_bool "spanning group plans core tier" true (lat [| 0; 7 |] = N.default.N.latency);
   (* flat fabrics keep the flat parameters *)
-  let flat = N.create N.default ~ranks:4 in
+  let flat = N.create (N.flat N.default ~ranks:4) in
   check_bool "flat group plans flat params" true
     ((N.params_for_group flat [| 0; 1; 2 |]).N.latency = N.default.N.latency)
 
 let test_hier_for_group () =
-  let two = N.create_fabric (N.fabric_of_spec ~ranks:8 "two:4") ~ranks:8 in
+  let two = N.create (N.fabric_of_spec ~ranks:8 "two:4") in
   (match N.hier_for_group two (Array.init 8 Fun.id) with
   | Some h ->
       check_int "h_nodes" 2 h.N.h_nodes;
@@ -110,21 +121,24 @@ let test_hier_for_group () =
   | None -> Alcotest.fail "fabric group spanning nodes must have a hier profile");
   check_bool "single-node group has no profile" true
     (N.hier_for_group two [| 0; 1; 2 |] = None);
-  let flat = N.create N.default ~ranks:8 in
+  let flat = N.create (N.flat N.default ~ranks:8) in
   check_bool "flat fabric has no profile" true (N.hier_for_group flat (Array.init 8 Fun.id) = None);
-  (* the legacy two-tier model deliberately keeps its exact pre-topology
-     planning behavior *)
-  let legacy = N.create_hierarchical ~inter:N.default ~intra:N.intra_node ~node_size:4 ~ranks:8 in
-  check_bool "legacy ?node model opts out" true
-    (N.hier_for_group legacy (Array.init 8 Fun.id) = None)
+  (* the uniform rule: equal tiers mean no hierarchy, whatever the
+     placement says, and every pair and group plans with the one set *)
+  let same = N.two_tier ~intra:N.low_latency ~inter:N.low_latency ~node_size:4 ~ranks:8 () in
+  let uniform = N.create same in
+  check_bool "uniform fabric has no profile" true
+    (N.hier_for_group uniform (Array.init 8 Fun.id) = None);
+  check_bool "uniform group plans the one set" true
+    (N.params_for_group uniform [| 0; 5 |] = N.low_latency
+    && N.params_between uniform ~src:0 ~dst:1 = N.low_latency)
 
 let test_uplink_congestion () =
   (* Two inter-node messages from distinct senders on one node: with one
      shared uplink the second serializes behind the first; with
      uncongested uplinks they only serialize per-sender. *)
   let arrival ~uplinks =
-    let f = Topology.Fabric.two_tier ~uplinks ~node_size:2 ~ranks:4 () in
-    let t = N.create_fabric f ~ranks:4 in
+    let t = N.create (N.two_tier ~uplinks ~node_size:2 ~ranks:4 ()) in
     let _, _ = N.transfer t ~now:0.0 ~src:0 ~dst:2 ~bytes:1000 ~pack_factor:1.0 in
     let _, a = N.transfer t ~now:0.0 ~src:1 ~dst:3 ~bytes:1000 ~pack_factor:1.0 in
     a
@@ -132,16 +146,15 @@ let test_uplink_congestion () =
   check_bool "shared uplink serializes inter-node injection" true
     (arrival ~uplinks:1 > arrival ~uplinks:0);
   (* intra-node traffic never touches the uplink ports *)
-  let f = Topology.Fabric.two_tier ~uplinks:1 ~node_size:2 ~ranks:4 () in
-  let t = N.create_fabric f ~ranks:4 in
+  let f = N.two_tier ~uplinks:1 ~node_size:2 ~ranks:4 () in
+  let t = N.create f in
   let _, _ = N.transfer t ~now:0.0 ~src:0 ~dst:2 ~bytes:1000 ~pack_factor:1.0 in
-  let t2 = N.create_fabric f ~ranks:4 in
+  let t2 = N.create f in
   let _, intra_clean = N.transfer t2 ~now:0.0 ~src:1 ~dst:0 ~bytes:64 ~pack_factor:1.0 in
   let _, intra_after = N.transfer t ~now:0.0 ~src:1 ~dst:0 ~bytes:64 ~pack_factor:1.0 in
   check_bool "intra-node unaffected by uplink booking" true (intra_after = intra_clean);
   (* with two ports, the third message waits on the earliest-free one *)
-  let f2 = Topology.Fabric.two_tier ~uplinks:2 ~node_size:3 ~ranks:6 () in
-  let t3 = N.create_fabric f2 ~ranks:6 in
+  let t3 = N.create (N.two_tier ~uplinks:2 ~node_size:3 ~ranks:6 ()) in
   let _, a1 = N.transfer t3 ~now:0.0 ~src:0 ~dst:3 ~bytes:1000 ~pack_factor:1.0 in
   let _, a2 = N.transfer t3 ~now:0.0 ~src:1 ~dst:4 ~bytes:1000 ~pack_factor:1.0 in
   check_bool "two ports: two messages in parallel" true (a1 = a2);
@@ -168,6 +181,25 @@ let test_env_topology () =
         (nodes_seen ~fabric:explicit ~ranks:8 ()));
   Alcotest.(check (array int)) "empty env keeps the flat model" [| 0; 1; 2; 3 |]
     (nodes_seen ~ranks:4 ())
+
+(* The spec fabric takes the run's [?net] as its inter-node tier, so the
+   caller's per-call setup overhead is still charged under the variable:
+   [two:1] is the flat topology and must cost exactly what flat costs. *)
+let test_env_topology_keeps_net () =
+  let net = { N.default with N.setup_overhead = 1e-3 } in
+  let send spec =
+    Unix.putenv "MPISIM_TOPOLOGY" spec;
+    Fun.protect
+      ~finally:(fun () -> Unix.putenv "MPISIM_TOPOLOGY" "")
+      (fun () ->
+        (Mpisim.Mpi.run ~net ~ranks:2 (fun comm ->
+             if Mpisim.Comm.rank comm = 0 then Mpisim.P2p.send comm D.int [| 1 |] ~dst:1 ~tag:0
+             else ignore (Mpisim.P2p.recv comm D.int [| 0 |] ~src:0 ~tag:0)))
+          .Mpisim.Mpi.sim_time)
+  in
+  let flat = send "" and spec = send "two:1" in
+  check_bool (Printf.sprintf "overhead charged under two:1 (%.3g s)" spec) true (spec >= 1e-3);
+  Alcotest.(check (float 0.0)) "two:1 costs what flat costs" flat spec
 
 let test_split_by_node () =
   let fabric = N.fabric_of_spec ~ranks:8 "two:4" in
@@ -256,7 +288,7 @@ let test_autotune_plan () =
 let test_autotune_flat_is_flat () =
   (* without a hierarchy, the sweep must never name a hierarchical
      variant — the bit-identical-default guarantee at the planning layer *)
-  let flat = Topology.Fabric.two_tier ~node_size:8 ~ranks:8 () in
+  let flat = N.two_tier ~node_size:8 ~ranks:8 () in
   let plan = Topology.Autotune.tune flat ~p:8 in
   List.iter
     (fun table ->
@@ -328,12 +360,10 @@ let diff_configs =
     [ 1; 2; 3; 4; 5; 6; 7; 8 ]
 
 let fabric_of_config c =
+  let block = N.two_tier ~node_size:c.dc_node_size ~ranks:c.dc_p () in
   if c.dc_scatter then
-    let node_of = Topology.Place.scattered ~ranks:c.dc_p ~node_size:c.dc_node_size in
-    let nodes = Topology.Place.node_count node_of in
-    Topology.Fabric.make ~node_of ~rack_of:(Array.make nodes 0) ~node:N.intra_node ~rack:N.default
-      ~core:N.default ()
-  else Topology.Fabric.two_tier ~node_size:c.dc_node_size ~ranks:c.dc_p ()
+    { block with N.f_node_of = Topology.Place.scattered ~ranks:c.dc_p ~node_size:c.dc_node_size }
+  else block
 
 let collect ~fabric ~ranks ~coll ~algo f =
   Mpisim.Mpi.results_exn
@@ -432,6 +462,7 @@ let suite =
     Alcotest.test_case "hier profile gating" `Quick test_hier_for_group;
     Alcotest.test_case "shared uplink congestion" `Quick test_uplink_congestion;
     Alcotest.test_case "MPISIM_TOPOLOGY environment wiring" `Quick test_env_topology;
+    Alcotest.test_case "MPISIM_TOPOLOGY keeps the run's net" `Quick test_env_topology_keeps_net;
     Alcotest.test_case "split_by_node" `Quick test_split_by_node;
     Alcotest.test_case "kamping topology surface" `Quick test_kamping_surface;
     Alcotest.test_case "autotune plan on the acceptance fabric" `Quick test_autotune_plan;
