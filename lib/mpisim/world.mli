@@ -1,7 +1,6 @@
 (** Global state of one simulated machine: the event engine, the network
-    model of its fabric (the world has one rank per placed rank), one
-    mailbox per rank, liveness for failure injection, and the
-    profiling counters.
+    model of its fabric, one mailbox per rank, liveness for failure
+    injection, and the profiling counters.
 
     Communicator {e shared state} ([comm_shared]) lives here: one value per
     communicator shared by all member ranks — it is what ULFM's [revoke]

@@ -3,22 +3,10 @@
    These are plain [int array]s so they can be handed straight to
    {!Simnet.Netmodel.fabric}; [Netmodel.create] checks them. *)
 
-let ceil_div a b = (a + b - 1) / b
-
-let block ~ranks ~node_size =
-  if ranks <= 0 then invalid_arg "Place.block: ranks must be positive";
-  if node_size <= 0 then invalid_arg "Place.block: node_size must be positive";
-  Array.init ranks (fun r -> r / node_size)
-
 let round_robin ~ranks ~nodes =
   if ranks <= 0 then invalid_arg "Place.round_robin: ranks must be positive";
   if nodes <= 0 then invalid_arg "Place.round_robin: nodes must be positive";
   Array.init ranks (fun r -> r mod nodes)
-
-let racks ~nodes ~nodes_per_rack =
-  if nodes <= 0 then invalid_arg "Place.racks: nodes must be positive";
-  if nodes_per_rack <= 0 then invalid_arg "Place.racks: nodes_per_rack must be positive";
-  Array.init nodes (fun n -> n / nodes_per_rack)
 
 (* Number of distinct nodes named by a placement.  Maps are dense (checked
    by [Netmodel.create]), so this is [max + 1]. *)

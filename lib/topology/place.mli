@@ -3,16 +3,9 @@
     A placement is two dense arrays: [node_of] maps world rank to node id,
     [rack_of] maps node id to rack id — the exact representation
     {!Simnet.Netmodel.fabric} consumes ({!Simnet.Netmodel.create}
-    checks them).  Builders here cover the standard layouts; anything else
+    checks them).  Block placement is built into {!Simnet.Netmodel}'s
+    builders; the layouts here are the non-block ones, and anything else
     is an ordinary [int array]. *)
-
-(** [ceil_div a b] rounds the quotient up (node counts from rank counts). *)
-val ceil_div : int -> int -> int
-
-(** [block ~ranks ~node_size] packs consecutive ranks onto each node:
-    rank [r] lives on node [r / node_size] (the MPI default and the layout
-    [Netmodel.fabric_of_spec] uses). *)
-val block : ranks:int -> node_size:int -> int array
 
 (** [round_robin ~ranks ~nodes] deals ranks across nodes cyclically:
     rank [r] lives on node [r mod nodes] (the [--map-by node] layout that
@@ -26,9 +19,6 @@ val round_robin : ranks:int -> nodes:int -> int array
     construction.
     @raise Invalid_argument unless [node_size] divides [ranks]. *)
 val scattered : ranks:int -> node_size:int -> int array
-
-(** [racks ~nodes ~nodes_per_rack] blocks consecutive nodes into racks. *)
-val racks : nodes:int -> nodes_per_rack:int -> int array
 
 (** [node_count node_of] is the number of distinct nodes of a dense map. *)
 val node_count : int array -> int

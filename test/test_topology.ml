@@ -19,14 +19,16 @@ let raises_invalid f =
 (* Placement maps                                                      *)
 
 let test_place () =
-  Alcotest.(check (array int)) "block" [| 0; 0; 0; 1; 1; 1; 2 |] (Topology.Place.block ~ranks:7 ~node_size:3);
+  Alcotest.(check (array int)) "block" [| 0; 0; 0; 1; 1; 1; 2 |]
+    (N.two_tier ~node_size:3 ~ranks:7 ()).N.f_node_of;
   Alcotest.(check (array int)) "round robin" [| 0; 1; 2; 0; 1; 2 |]
     (Topology.Place.round_robin ~ranks:6 ~nodes:3);
-  Alcotest.(check (array int)) "racks" [| 0; 0; 1; 1; 2 |] (Topology.Place.racks ~nodes:5 ~nodes_per_rack:2);
+  Alcotest.(check (array int)) "racks" [| 0; 0; 1; 1; 2 |]
+    (N.fat_tree ~node_size:1 ~nodes_per_rack:2 ~ranks:5 ()).N.f_rack_of;
   let sc = Topology.Place.scattered ~ranks:8 ~node_size:2 in
   check_int "scattered nodes" 4 (Topology.Place.node_count sc);
   Alcotest.(check (array int)) "scattered balanced" [| 2; 2; 2; 2 |] (Topology.Place.populations sc);
-  check_bool "scattered is not block" true (sc <> Topology.Place.block ~ranks:8 ~node_size:2);
+  check_bool "scattered is not block" true (sc <> (N.two_tier ~node_size:2 ~ranks:8 ()).N.f_node_of);
   check_bool "scattered rejects non-divisible" true
     (raises_invalid (fun () -> Topology.Place.scattered ~ranks:7 ~node_size:2));
   let fabric node_of rack_of = { (N.flat N.default ~ranks:1) with N.f_node_of = node_of; f_rack_of = rack_of } in
