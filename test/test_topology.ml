@@ -127,8 +127,9 @@ let test_hier_for_group () =
   check_bool "flat fabric has no profile" true (N.hier_for_group flat (Array.init 8 Fun.id) = None);
   (* the uniform rule: equal tiers mean no hierarchy, whatever the
      placement says, and every pair and group plans with the one set *)
-  let same = N.two_tier ~intra:N.low_latency ~inter:N.low_latency ~node_size:4 ~ranks:8 () in
-  let uniform = N.create same in
+  let uniform =
+    N.create (N.two_tier ~intra:N.low_latency ~inter:N.low_latency ~node_size:4 ~ranks:8 ())
+  in
   check_bool "uniform fabric has no profile" true
     (N.hier_for_group uniform (Array.init 8 Fun.id) = None);
   check_bool "uniform group plans the one set" true
